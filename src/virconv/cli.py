@@ -47,12 +47,6 @@ def _tensor_checksum(tensor) -> str:
     return h.hexdigest()[:16]
 
 
-def _threads(args) -> int:
-    if args.threads:
-        return args.threads
-    return int(os.environ.get("VIRCONV_THREADS", "1"))
-
-
 def cmd_forward(args) -> int:
     lidar = read_velodyne_bin(args.lidar)
     virtual = read_virtual_bin(args.virtual) if args.virtual else None
@@ -230,8 +224,6 @@ def cmd_fuse(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="virconv")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker cap (falls back to VIRCONV_THREADS)")
     sub = p.add_subparsers(dest="command", required=True)
 
     f = sub.add_parser("forward", help="run the backbone on point cloud files")
@@ -295,7 +287,6 @@ def main(argv=None) -> int:
     if args.command == "stvd-stats" and not (args.scene or args.lidar):
         print("stvd-stats needs --scene or --lidar", file=sys.stderr)
         return EXIT_PARSE
-    os.environ.setdefault("VIRCONV_THREADS", str(_threads(args)))
     try:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError, FormatError,

@@ -14,6 +14,13 @@ Three forward operators:
 Plus spconv_downsample, a kernel-3 / stride-2 / padding-1 sparse convolution
 whose output sites are the halved input sites.
 
+The 3D branch reads its (output row, input row) pairs from the tensor's
+cached kernel map, built once per site set and shared by every layer of a
+block and by their backward passes. Per offset, every pair map here (3D,
+2D cell, stride-2) is injective in both directions, so scatters are plain
+fancy-index accumulation; np.*.at is kept only where indices repeat (cell
+pooling and the cell gradient sum).
+
 Backward passes are exact: pass a Ctx to a forward call, then call the
 matching *_backward with the upstream gradient. Weight gradients accumulate
 into the weight object's grad buffers; the input-feature gradient is
@@ -26,7 +33,15 @@ import numpy as np
 
 from .geometry import INVALID_2D
 from .rng import SeededRng
-from .tensor import CENTER_2D, OFFSETS_2D, OFFSETS_3D, SparseVoxelTensor
+from .tensor import (
+    OFFSETS_2D,
+    OFFSETS_3D,
+    ORIGIN_LIDAR,
+    ORIGIN_MIXED,
+    ORIGIN_VIRTUAL,
+    SparseVoxelTensor,
+    VoxelGridSpec,
+)
 
 
 @dataclass(frozen=True)
@@ -185,26 +200,6 @@ class Ctx:
         return self.data
 
 
-def _gather_pairs_3d(tensor: SparseVoxelTensor):
-    """Per 3D offset, the (output row, input row) pairs where the shifted
-    neighbor site is occupied. Deterministic offset and row order."""
-    pairs = []
-    extent = np.asarray(tensor.spec.extent, dtype=np.int64)
-    skeys, order = tensor.sorted_keys()
-    idx = tensor.indices
-    for k in range(27):
-        off = OFFSETS_3D[k]
-        shifted = idx + off
-        inside = np.all((shifted >= 0) & (shifted < extent), axis=1)
-        out_rows = np.flatnonzero(inside)
-        keys = tensor.linear_keys(shifted[inside])
-        pos = np.searchsorted(skeys, keys)
-        pos = np.minimum(pos, max(len(skeys) - 1, 0))
-        hit = skeys[pos] == keys if len(skeys) else np.zeros(len(keys), bool)
-        pairs.append((out_rows[hit], order[pos[hit]]))
-    return pairs
-
-
 def submanifold_conv3d(tensor: SparseVoxelTensor, weights: KernelWeights,
                        act: ActivationSpec = RELU, ctx: Ctx = None) -> SparseVoxelTensor:
     """3x3x3 convolution over occupied sites only; output sites = input sites."""
@@ -214,14 +209,12 @@ def submanifold_conv3d(tensor: SparseVoxelTensor, weights: KernelWeights,
         )
     X = tensor.features
     pre = np.broadcast_to(weights.bias3d, (tensor.n, weights.c_half)).copy()
-    pairs = _gather_pairs_3d(tensor)
-    for k, (out_rows, in_rows) in enumerate(pairs):
+    for k, (out_rows, in_rows) in enumerate(tensor.kernel_map()):
         if len(out_rows):
-            np.add.at(pre, out_rows, X[in_rows] @ weights.w3d[k])
+            pre[out_rows] += X[in_rows] @ weights.w3d[k]
     out = act.apply(pre)
     if ctx is not None:
-        ctx.save(kind="conv3d", tensor=tensor, weights=weights, act=act,
-                 pre=pre, pairs=pairs)
+        ctx.save(kind="conv3d", tensor=tensor, weights=weights, act=act, pre=pre)
     return tensor.with_features(out)
 
 
@@ -232,10 +225,10 @@ def submanifold_conv3d_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     X = tensor.features
     gX = np.zeros_like(X)
     weights.g_bias3d += gpre.sum(axis=0)
-    for k, (out_rows, in_rows) in enumerate(d["pairs"]):
+    for k, (out_rows, in_rows) in enumerate(tensor.kernel_map()):
         if len(out_rows):
             weights.g_w3d[k] += X[in_rows].T @ gpre[out_rows]
-            np.add.at(gX, in_rows, gpre[out_rows] @ weights.w3d[k].T)
+            gX[in_rows] += gpre[out_rows] @ weights.w3d[k].T
     return gX
 
 
@@ -252,27 +245,17 @@ def _group_cells(h2d: np.ndarray):
     return valid, uniq, inverse.ravel()
 
 
-def _gather_pairs_2d(cells: np.ndarray):
-    """Per 2D offset, (output cell, input cell) pairs over occupied cells."""
-    pairs = []
-    if len(cells) == 0:
-        return [(np.zeros(0, np.int64), np.zeros(0, np.int64))] * 9
-    lo = cells.min(axis=0)
-    span = cells.max(axis=0) - lo + 3  # +3 leaves room for the +-1 shifts
-    keys = (cells[:, 0] - lo[0]) * span[1] + (cells[:, 1] - lo[1])
-    order = np.argsort(keys, kind="stable")
-    skeys = keys[order]
-    for k in range(9):
-        du, dv = OFFSETS_2D[k]
-        shifted = cells + (du, dv)
-        inside = np.all((shifted >= lo) & (shifted < lo + span), axis=1)
-        out_rows = np.flatnonzero(inside)
-        qkeys = (shifted[inside, 0] - lo[0]) * span[1] + (shifted[inside, 1] - lo[1])
-        pos = np.searchsorted(skeys, qkeys)
-        pos = np.minimum(pos, len(skeys) - 1)
-        hit = skeys[pos] == qkeys
-        pairs.append((out_rows[hit], order[pos[hit]]))
-    return pairs
+def _cell_pairs(cells: np.ndarray):
+    """Per 2D offset, (output cell, input cell) pairs over occupied cells.
+
+    The cells are looked up as the sites of a one-voxel-thick grid."""
+    flat = np.zeros((len(cells), 3), np.int64)
+    if len(cells):
+        flat[:, :2] = cells - cells.min(axis=0)
+    spec = VoxelGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
+                         tuple(int(e) for e in flat.max(axis=0, initial=0) + 1))
+    grid = SparseVoxelTensor(flat, np.zeros((len(cells), 0)), spec, _validate=False)
+    return grid.pairs_at(flat, np.pad(OFFSETS_2D, ((0, 0), (0, 1))))
 
 
 def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
@@ -293,15 +276,14 @@ def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
     X = tensor.features
     valid, cells, inverse = _group_cells(np.asarray(h2d, dtype=np.int64))
     m = len(cells)
-    Xv = X[valid]
     pooled = np.full((m, tensor.width), -np.inf)
     if m:
-        np.maximum.at(pooled, inverse, Xv)
+        np.maximum.at(pooled, inverse, X[valid])
     pre = np.broadcast_to(weights.bias2d, (m, weights.c_half)).copy()
-    pairs = _gather_pairs_2d(cells)
+    pairs = _cell_pairs(cells)
     for k, (out_rows, in_rows) in enumerate(pairs):
         if len(out_rows):
-            np.add.at(pre, out_rows, pooled[in_rows] @ weights.w2d[k])
+            pre[out_rows] += pooled[in_rows] @ weights.w2d[k]
     cell_out = act.apply(pre)
     out = np.empty((tensor.n, weights.c_half))
     empty_pre = weights.bias2d[None, :]
@@ -358,14 +340,13 @@ def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     for k, (out_rows, in_rows) in enumerate(d["pairs"]):
         if len(out_rows):
             weights.g_w2d[k] += pooled[in_rows].T @ gpre[out_rows]
-            np.add.at(g_pooled, in_rows, gpre[out_rows] @ weights.w2d[k].T)
+            g_pooled[in_rows] += gpre[out_rows] @ weights.w2d[k].T
 
-    # Route pooled gradients to the argmax member per (cell, channel).
-    Xv = X[valid]
-    winners = _pool_winners(Xv, inverse, m)
-    gXv = np.zeros_like(Xv)
-    for ch in range(Xv.shape[1]):
-        np.add.at(gXv[:, ch], winners[:, ch], g_pooled[:, ch])
+    # Route pooled gradients to the argmax member per (cell, channel). A row
+    # belongs to one cell, so no (row, channel) target repeats.
+    winners = _pool_winners(X[valid], inverse, m)
+    gXv = np.zeros((len(inverse), X.shape[1]))
+    gXv[winners, np.arange(X.shape[1])] += g_pooled
     gX[valid] = gXv
     return gX
 
@@ -414,32 +395,18 @@ def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,
             np.zeros((0, 3), np.int64), np.zeros((0, c_out)), out_spec, flags,
             _validate=False,
         )
-    out_idx = np.unique(tensor.indices // 2, axis=0)
+    out_idx, parent = np.unique(tensor.indices // 2, axis=0, return_inverse=True)
+    parent = parent.ravel()
     X = tensor.features
     pre = np.broadcast_to(weights.bias, (len(out_idx), c_out)).copy()
-    extent = np.asarray(tensor.spec.extent, dtype=np.int64)
-    skeys, order = tensor.sorted_keys()
-    pairs = []
-    for k in range(27):
-        probe = 2 * out_idx + OFFSETS_3D[k]
-        inside = np.all((probe >= 0) & (probe < extent), axis=1)
-        out_rows = np.flatnonzero(inside)
-        keys = tensor.linear_keys(probe[inside])
-        pos = np.searchsorted(skeys, keys)
-        pos = np.minimum(pos, len(skeys) - 1)
-        hit = skeys[pos] == keys
-        out_rows, in_rows = out_rows[hit], order[pos[hit]]
-        pairs.append((out_rows, in_rows))
+    pairs = tensor.pairs_at(2 * out_idx, OFFSETS_3D)
+    for k, (out_rows, in_rows) in enumerate(pairs):
         if len(out_rows):
-            np.add.at(pre, out_rows, X[in_rows] @ weights.w[k])
+            pre[out_rows] += X[in_rows] @ weights.w[k]
     out = act.apply(pre)
     flags = None
     if tensor.origin_flags is not None:
         # A coarse voxel's flag is the mean provenance of its finest members.
-        flags = np.zeros(len(out_idx), dtype=np.int8)
-        parent = _rows_in(out_idx, tensor.indices // 2)
-        from .tensor import ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL
-
         frac = np.zeros(len(out_idx))
         cnt = np.zeros(len(out_idx))
         is_virtual = (tensor.origin_flags == ORIGIN_VIRTUAL) * 1.0
@@ -456,16 +423,6 @@ def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,
     return result
 
 
-def _rows_in(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Row of each query in a table of unique sorted index rows."""
-    span = queries.max(axis=0) + 1
-    tkeys = (table[:, 0] * span[1] + table[:, 1]) * span[2] + table[:, 2]
-    qkeys = (queries[:, 0] * span[1] + queries[:, 1]) * span[2] + queries[:, 2]
-    order = np.argsort(tkeys)
-    pos = np.searchsorted(tkeys[order], qkeys)
-    return order[pos]
-
-
 def spconv_downsample_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     d = ctx.require("spconv_downsample")
     tensor, weights, act = d["tensor"], d["weights"], d["act"]
@@ -476,5 +433,5 @@ def spconv_downsample_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     for k, (out_rows, in_rows) in enumerate(d["pairs"]):
         if len(out_rows):
             weights.g_w[k] += X[in_rows].T @ gpre[out_rows]
-            np.add.at(gX, in_rows, gpre[out_rows] @ weights.w[k].T)
+            gX[in_rows] += gpre[out_rows] @ weights.w[k].T
     return gX

@@ -82,6 +82,10 @@ class SparseVoxelTensor:
     features: (N, C) float64, finite.
     origin_flags: optional (N,) int8 in {ORIGIN_LIDAR, ORIGIN_VIRTUAL,
         ORIGIN_MIXED}, tracking point provenance per voxel.
+
+    Lookup structures (sorted keys, the 27-offset kernel map) are built
+    lazily, once per site set: `with_features` shares them, while
+    `take_rows` and every new tensor start without.
     """
 
     def __init__(self, indices, features, spec, origin_flags=None, _validate=True):
@@ -103,6 +107,7 @@ class SparseVoxelTensor:
             origin_flags.setflags(write=False)
         self._lookup = None
         self._sorted = None
+        self._kernel_map = None
 
     @property
     def n(self) -> int:
@@ -156,6 +161,34 @@ class SparseVoxelTensor:
         rows[np.flatnonzero(inside)] = found
         return rows
 
+    def pairs_at(self, base, offsets) -> list:
+        """Per offset k, the (query rows, tensor rows) where base + offsets[k]
+        is an occupied site.
+
+        Query rows ascend. Sites are unique, so when the queries are unique
+        too, neither side repeats within one offset.
+        """
+        pairs = []
+        for off in offsets:
+            found = self.find_rows(base + off)
+            rows = np.flatnonzero(found >= 0)
+            pairs.append((rows, found[rows]))
+        return pairs
+
+    def kernel_map(self) -> tuple:
+        """Submanifold 3x3x3 kernel map: per OFFSETS_3D[k], the (out rows,
+        in rows) with indices[in] == indices[out] + OFFSETS_3D[k].
+
+        Built once per site set and cached; the arrays are read-only.
+        """
+        if self._kernel_map is None:
+            pairs = self.pairs_at(self.indices, OFFSETS_3D)
+            for out_rows, in_rows in pairs:
+                out_rows.setflags(write=False)
+                in_rows.setflags(write=False)
+            self._kernel_map = tuple(pairs)
+        return self._kernel_map
+
     def with_features(self, features, origin_flags="keep") -> "SparseVoxelTensor":
         """Same sites, new feature matrix. Shares index storage and caches."""
         features = np.ascontiguousarray(features, dtype=np.float64)
@@ -169,6 +202,7 @@ class SparseVoxelTensor:
         out = SparseVoxelTensor(self.indices, features, self.spec, flags, _validate=False)
         out._lookup = self._lookup
         out._sorted = self._sorted
+        out._kernel_map = self._kernel_map
         return out
 
     def take_rows(self, rows) -> "SparseVoxelTensor":
