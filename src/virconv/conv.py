@@ -14,12 +14,16 @@ Three forward operators:
 Plus spconv_downsample, a kernel-3 / stride-2 / padding-1 sparse convolution
 whose output sites are the halved input sites.
 
-The 3D branch reads its (output row, input row) pairs from the tensor's
-cached kernel map, built once per site set and shared by every layer of a
-block and by their backward passes. Per offset, every pair map here (3D,
-2D cell, stride-2) is injective in both directions, so scatters are plain
-fancy-index accumulation; np.*.at is kept only where indices repeat (cell
-pooling and the cell gradient sum).
+Every neighbour search goes through SparseVoxelTensor.pairs_at. The 3D
+branch reads its (output row, input row) pairs from the tensor's cached
+kernel map, built once per site set and shared by every layer of a block and
+by their backward passes. The 2D branch groups rows by cell with one stable
+sort of their cell keys and looks the cells up as the sites of a
+one-voxel-thick grid. Per offset, every pair map here (3D, 2D cell,
+stride-2) is injective in both directions, so scatters are plain
+fancy-index accumulation. Where indices repeat, cells are contiguous
+segments of the sorted rows: pooling is np.maximum.reduceat, and sums run
+through np.bincount, which adds in row order as np.add.at would.
 
 Backward passes are exact: pass a Ctx to a forward call, then call the
 matching *_backward with the upstream gradient. Weight gradients accumulate
@@ -41,6 +45,8 @@ from .tensor import (
     ORIGIN_VIRTUAL,
     SparseVoxelTensor,
     VoxelGridSpec,
+    key_rows,
+    padded_keys,
 )
 
 
@@ -233,29 +239,34 @@ def submanifold_conv3d_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
 
 
 def _group_cells(h2d: np.ndarray):
-    """Unique valid 2D cells and the member mapping.
+    """Group the rows with a valid projection by 2D cell, with one stable sort.
 
-    Returns (valid mask, unique cells (M, 2), inverse mapping over valid rows).
+    Returns (valid mask, order, starts, seg, pairs). order lists the valid
+    rows sorted by cell, rows ascending within a cell; cell j spans
+    order[starts[j]:starts[j + 1]] and seg[i] is the cell of order[i]. Cells
+    are numbered in lexicographic (u, v) order. pairs holds, per OFFSETS_2D
+    entry, the (output cell, input cell) pairs over occupied cells, looked up
+    as the sites of a one-voxel-thick grid.
     """
     valid = h2d[:, 0] != INVALID_2D
-    cells = h2d[valid]
-    if len(cells) == 0:
-        return valid, np.zeros((0, 2), np.int64), np.zeros(0, np.int64)
-    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-    return valid, uniq, inverse.ravel()
-
-
-def _cell_pairs(cells: np.ndarray):
-    """Per 2D offset, (output cell, input cell) pairs over occupied cells.
-
-    The cells are looked up as the sites of a one-voxel-thick grid."""
-    flat = np.zeros((len(cells), 3), np.int64)
-    if len(cells):
-        flat[:, :2] = cells - cells.min(axis=0)
+    rows = np.flatnonzero(valid)
+    flat = np.zeros((len(rows), 3), np.int64)
+    if len(rows):
+        flat[:, :2] = h2d[rows]
+        flat[:, :2] -= flat[:, :2].min(axis=0)
     spec = VoxelGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
                          tuple(int(e) for e in flat.max(axis=0, initial=0) + 1))
-    grid = SparseVoxelTensor(flat, np.zeros((len(cells), 0)), spec, _validate=False)
-    return grid.pairs_at(flat, np.pad(OFFSETS_2D, ((0, 0), (0, 1))))
+    keys = padded_keys(flat, spec.extent)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    cells = flat[order[starts]]
+    grid = SparseVoxelTensor(cells, np.zeros((len(cells), 0)), spec, _validate=False)
+    pairs = grid.pairs_at(cells, np.pad(OFFSETS_2D, ((0, 0), (0, 1))))
+    return valid, rows[order], starts, np.cumsum(new) - 1, pairs
 
 
 def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
@@ -274,13 +285,13 @@ def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
             f"feature width {tensor.width} does not match kernel C_in {weights.c_in}"
         )
     X = tensor.features
-    valid, cells, inverse = _group_cells(np.asarray(h2d, dtype=np.int64))
-    m = len(cells)
-    pooled = np.full((m, tensor.width), -np.inf)
+    valid, order, starts, seg, pairs = _group_cells(np.asarray(h2d, dtype=np.int64))
+    m = len(starts)
     if m:
-        np.maximum.at(pooled, inverse, X[valid])
+        pooled = np.maximum.reduceat(X[order], starts, axis=0)
+    else:
+        pooled = np.zeros((0, tensor.width))
     pre = np.broadcast_to(weights.bias2d, (m, weights.c_half)).copy()
-    pairs = _cell_pairs(cells)
     for k, (out_rows, in_rows) in enumerate(pairs):
         if len(out_rows):
             pre[out_rows] += pooled[in_rows] @ weights.w2d[k]
@@ -288,39 +299,38 @@ def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
     out = np.empty((tensor.n, weights.c_half))
     empty_pre = weights.bias2d[None, :]
     out[~valid] = act.apply(empty_pre)
-    if m:
-        out[valid] = cell_out[inverse]
+    out[order] = cell_out[seg]
     if ctx is not None:
         ctx.save(kind="conv2d", tensor=tensor, weights=weights, act=act,
-                 valid=valid, cells=cells, inverse=inverse, pooled=pooled,
+                 valid=valid, order=order, starts=starts, pooled=pooled,
                  pre=pre, pairs=pairs)
     return out
 
 
-def _pool_winners(Xv: np.ndarray, inverse: np.ndarray, m: int) -> np.ndarray:
-    """Row in Xv that won the per-cell channel max; ties to the lowest row.
+def _pool_winners(Xs: np.ndarray, pooled: np.ndarray, starts: np.ndarray,
+                  seg: np.ndarray) -> np.ndarray:
+    """Position in Xs of the member that won each per-cell channel max.
 
-    Returns an (m, C) int array of winning Xv rows. Valid rows arrive in
-    original row order, so "first max within the cell" is the tie rule.
+    Xs holds the valid rows sorted by cell with a stable sort, so members
+    keep their row order within a cell and the lowest winning position is
+    the first max in row order: the tie rule. Returns an (M, C) int array.
     """
-    c = Xv.shape[1]
-    winners = np.empty((m, c), dtype=np.int64)
-    rows = np.arange(len(Xv))
+    n, c = Xs.shape
+    winners = np.empty((len(starts), c), dtype=np.int64)
+    pos = np.arange(n)
     for ch in range(c):
-        order = np.lexsort((rows, -Xv[:, ch], inverse))
-        inv_sorted = inverse[order]
-        starts = np.flatnonzero(np.r_[True, inv_sorted[1:] != inv_sorted[:-1]])
-        winners[inv_sorted[starts], ch] = order[starts]
+        hit = np.where(Xs[:, ch] == pooled[seg, ch], pos, n)
+        winners[:, ch] = np.minimum.reduceat(hit, starts)
     return winners
 
 
 def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     d = ctx.require("conv2d_branch")
     tensor, weights, act = d["tensor"], d["weights"], d["act"]
-    valid, inverse, pooled = d["valid"], d["inverse"], d["pooled"]
+    valid, order, starts, pooled = d["valid"], d["order"], d["starts"], d["pooled"]
     X = tensor.features
     gX = np.zeros_like(X)
-    m = len(d["cells"])
+    m = len(pooled)
 
     # Invalid-projection rows saw act(bias) only.
     g_invalid = grad_out[~valid]
@@ -331,9 +341,14 @@ def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     if m == 0:
         return gX
 
-    # Cell output gradient is the sum over member voxels.
-    g_cell = np.zeros((m, weights.c_half))
-    np.add.at(g_cell, inverse, grad_out[valid])
+    # Cell output gradient is the sum over member voxels; bincount adds in
+    # row order, as np.add.at would. seg is rebuilt rather than kept in the
+    # Ctx, where it would stay alive until backward.
+    seg = np.repeat(np.arange(m), np.diff(starts, append=len(order)))
+    g_members = grad_out[order]
+    g_cell = np.empty((m, weights.c_half))
+    for ch in range(weights.c_half):
+        g_cell[:, ch] = np.bincount(seg, weights=g_members[:, ch], minlength=m)
     gpre = g_cell * act.deriv(d["pre"])
     weights.g_bias2d += gpre.sum(axis=0)
     g_pooled = np.zeros_like(pooled)
@@ -344,10 +359,8 @@ def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
 
     # Route pooled gradients to the argmax member per (cell, channel). A row
     # belongs to one cell, so no (row, channel) target repeats.
-    winners = _pool_winners(X[valid], inverse, m)
-    gXv = np.zeros((len(inverse), X.shape[1]))
-    gXv[winners, np.arange(X.shape[1])] += g_pooled
-    gX[valid] = gXv
+    winners = _pool_winners(X[order], pooled, starts, seg)
+    gX[order[winners], np.arange(X.shape[1])] += g_pooled
     return gX
 
 
@@ -389,14 +402,9 @@ def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,
         )
     out_spec = tensor.spec.downsampled()
     c_out = weights.w.shape[2]
-    if tensor.n == 0:
-        flags = None if tensor.origin_flags is None else np.zeros(0, np.int8)
-        return SparseVoxelTensor(
-            np.zeros((0, 3), np.int64), np.zeros((0, c_out)), out_spec, flags,
-            _validate=False,
-        )
-    out_idx, parent = np.unique(tensor.indices // 2, axis=0, return_inverse=True)
-    parent = parent.ravel()
+    keys, parent = np.unique(padded_keys(tensor.indices // 2, out_spec.extent),
+                             return_inverse=True)
+    out_idx = key_rows(keys, out_spec.extent)
     X = tensor.features
     pre = np.broadcast_to(weights.bias, (len(out_idx), c_out)).copy()
     pairs = tensor.pairs_at(2 * out_idx, OFFSETS_3D)
@@ -407,13 +415,10 @@ def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,
     flags = None
     if tensor.origin_flags is not None:
         # A coarse voxel's flag is the mean provenance of its finest members.
-        frac = np.zeros(len(out_idx))
-        cnt = np.zeros(len(out_idx))
         is_virtual = (tensor.origin_flags == ORIGIN_VIRTUAL) * 1.0
         is_virtual += (tensor.origin_flags == ORIGIN_MIXED) * 0.5
-        np.add.at(frac, parent, is_virtual)
-        np.add.at(cnt, parent, 1.0)
-        frac /= cnt
+        frac = (np.bincount(parent, weights=is_virtual, minlength=len(out_idx))
+                / np.bincount(parent, minlength=len(out_idx)))
         flags = np.where(frac < 0.5, ORIGIN_LIDAR,
                          np.where(frac > 0.5, ORIGIN_VIRTUAL, ORIGIN_MIXED)).astype(np.int8)
     result = SparseVoxelTensor(out_idx, out, out_spec, flags, _validate=False)

@@ -20,6 +20,9 @@ from .tensor import (
     ORIGIN_VIRTUAL,
     SparseVoxelTensor,
     VoxelGridSpec,
+    inside_extent,
+    key_rows,
+    padded_keys,
 )
 
 # Sentinel 2D index for voxels whose projection is invalid (behind camera).
@@ -150,33 +153,23 @@ def voxelize(cloud: SparsePointCloud, spec: VoxelGridSpec, aggregation="mean") -
     """
     if aggregation != "mean":
         raise ValueError(f"unsupported aggregation {aggregation!r}")
-    origin = np.asarray(spec.origin, dtype=np.float64)
-    cell = spec.cell_size
-    extent = np.asarray(spec.extent, dtype=np.int64)
-    if cloud.n == 0:
-        return SparseVoxelTensor(
-            np.zeros((0, 3), np.int64), np.zeros((0, 5)), spec,
-            np.zeros(0, np.int8), _validate=False,
-        )
-    idx = np.floor((cloud.xyz - origin) / cell).astype(np.int64)
-    inside = np.all((idx >= 0) & (idx < extent), axis=1)
-    idx = idx[inside]
-    pts = cloud.points[inside]
-    if len(idx) == 0:
-        return SparseVoxelTensor(
-            np.zeros((0, 3), np.int64), np.zeros((0, 5)), spec,
-            np.zeros(0, np.int8), _validate=False,
-        )
-    keys = (idx[:, 0] * extent[1] + idx[:, 1]) * extent[2] + idx[:, 2]
+    idx = cloud.xyz - np.asarray(spec.origin, dtype=np.float64)
+    idx /= spec.cell_size
+    np.floor(idx, out=idx)
+    idx = idx.astype(np.int64)
+    # Cropped points share key -1, which sorts first and is dropped below.
+    keys = padded_keys(idx, spec.extent)
+    keys[~inside_extent(idx, spec.extent)] = -1
     uniq_keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    m = len(uniq_keys)
-    feats = np.zeros((m, 5))
-    np.add.at(feats, inverse, pts)
-    feats /= counts[:, None]
-    vox = np.empty((m, 3), dtype=np.int64)
-    vox[:, 0] = uniq_keys // (extent[1] * extent[2])
-    vox[:, 1] = (uniq_keys // extent[2]) % extent[1]
-    vox[:, 2] = uniq_keys % extent[2]
+    drop = int(len(uniq_keys) > 0 and uniq_keys[0] == -1)
+    m = len(uniq_keys) - drop
+    # bincount adds in point order, as np.add.at would.
+    feats = np.empty((m, 5))
+    for j in range(5):
+        feats[:, j] = np.bincount(inverse, weights=cloud.points[:, j],
+                                  minlength=len(uniq_keys))[drop:]
+    feats /= counts[drop:, None]
+    vox = key_rows(uniq_keys[drop:], spec.extent)
     beta = feats[:, 4]
     flags = np.where(beta < 0.5, ORIGIN_LIDAR,
                      np.where(beta > 0.5, ORIGIN_VIRTUAL, ORIGIN_MIXED)).astype(np.int8)
@@ -268,14 +261,27 @@ def project_voxels(tensor: SparseVoxelTensor, record: AugmentationRecord,
 # KITTI-format file ingestion
 
 
+def _read_records(path, width: int) -> np.ndarray:
+    """(N, width) float64 rows of little-endian float32 records.
+
+    Raises FormatError on a truncated record or a non-finite coordinate.
+    """
+    raw = np.fromfile(path, dtype="<f4")
+    size = 4 * width
+    if raw.nbytes % size:
+        raise FormatError(
+            f"{path}: truncated record at byte offset {raw.nbytes - raw.nbytes % size}"
+        )
+    rec = raw.reshape(-1, width).astype(np.float64)
+    bad = ~np.isfinite(rec[:, :3]).all(axis=1)
+    if bad.any():
+        raise FormatError(f"{path}: non-finite coordinate in record {np.flatnonzero(bad)[0]}")
+    return rec
+
+
 def read_velodyne_bin(path) -> SparsePointCloud:
     """LiDAR scan: consecutive little-endian float32 [x, y, z, alpha] records."""
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.nbytes % 16:
-        raise FormatError(
-            f"{path}: truncated record at byte offset {raw.nbytes - raw.nbytes % 16}"
-        )
-    rec = raw.reshape(-1, 4).astype(np.float64)
+    rec = _read_records(path, 4)
     pts = np.zeros((len(rec), 5))
     pts[:, :3] = rec[:, :3]
     pts[:, 3] = np.clip(rec[:, 3], 0.0, 1.0)
@@ -284,12 +290,7 @@ def read_velodyne_bin(path) -> SparsePointCloud:
 
 def read_virtual_bin(path) -> SparsePointCloud:
     """Virtual points: same record layout; alpha ignored, beta forced to 1."""
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.nbytes % 16:
-        raise FormatError(
-            f"{path}: truncated record at byte offset {raw.nbytes - raw.nbytes % 16}"
-        )
-    rec = raw.reshape(-1, 4).astype(np.float64)
+    rec = _read_records(path, 4)
     pts = np.zeros((len(rec), 5))
     pts[:, :3] = rec[:, :3]
     pts[:, 4] = 1.0
@@ -308,12 +309,7 @@ def write_fused_bin(path, cloud: SparsePointCloud):
 
 
 def read_fused_bin(path) -> SparsePointCloud:
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.nbytes % 20:
-        raise FormatError(
-            f"{path}: truncated record at byte offset {raw.nbytes - raw.nbytes % 20}"
-        )
-    return SparsePointCloud(raw.reshape(-1, 5).astype(np.float64))
+    return SparsePointCloud(_read_records(path, 5))
 
 
 def parse_kitti_calib(path) -> Calibration:

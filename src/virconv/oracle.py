@@ -135,6 +135,9 @@ def fps_bruteforce(points: np.ndarray, keep_count: int):
 # ---------------------------------------------------------------------------
 # Finite-difference gradient checking
 
+# Share of the probes that must be compared for a check to count.
+MIN_CHECKED_SHARE = 0.9
+
 _FORWARD = {
     "conv3d": lambda t, h2d, w, act, ctx=None: submanifold_conv3d(t, w, act, ctx).features,
     "conv2d": lambda t, h2d, w, act, ctx=None: conv2d_branch(t, h2d, w, act, ctx),
@@ -154,8 +157,11 @@ def gradcheck(op: str, tensor, h2d, weights, act, rng, num_probes=100,
     """Compare analytic gradients against central finite differences.
 
     The scalar loss is the sum of all outputs. Probes num_probes randomly
-    chosen parameters (weights, biases, and input features). Returns the max
-    relative error, where relative means |analytic - fd| / max(1, |fd|).
+    chosen parameters (weights, biases, and input features). Returns
+    (max_err, checked, skipped): the max relative error over the compared
+    probes, where relative means |analytic - fd| / max(1, |fd|), and how many
+    probes were compared and skipped. A caller must not read max_err as a
+    pass unless checked is at least MIN_CHECKED_SHARE of the probes.
     The corrupt flag perturbs the analytic weight gradient; it exists as a
     negative-control hook for tests.
 
@@ -198,7 +204,7 @@ def gradcheck(op: str, tensor, h2d, weights, act, rng, num_probes=100,
         arr.ravel()[flat] = base
         return out
 
-    max_err = 0.0
+    max_err, checked, skipped = 0.0, 0, 0
     for s in order:
         name, flat = slots[s]
         base = (feats if name == "features" else arrays[name]).ravel()[flat]
@@ -213,8 +219,10 @@ def gradcheck(op: str, tensor, h2d, weights, act, rng, num_probes=100,
         fwd = (f_plus - f0) / step
         bwd = (f0 - f_minus) / step
         if abs(fwd - bwd) / max(1.0, abs(fd)) > 1e-5:
+            skipped += 1
             continue
         an = analytic[name].ravel()[flat]
         err = abs(an - fd) / max(1.0, abs(fd))
         max_err = max(max_err, err)
-    return max_err
+        checked += 1
+    return max_err, checked, skipped

@@ -58,6 +58,12 @@ class VoxelGridSpec:
             raise ValueError("extent components must be positive")
         if self.stride_level < 1 or self.stride_level & (self.stride_level - 1):
             raise ValueError("stride_level must be a power of two >= 1")
+        ex, ey, ez = (int(e) + 2 for e in self.extent)
+        if ex * ey * ez > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"extent {tuple(self.extent)} overflows int64 site keys: "
+                f"the padded product {ex}*{ey}*{ez} must stay below 2**63"
+            )
 
     @property
     def cell_size(self) -> np.ndarray:
@@ -75,6 +81,40 @@ class VoxelGridSpec:
         )
 
 
+def inside_extent(indices, extent) -> np.ndarray:
+    """Mask of (N, 3) index rows with 0 <= index < extent on every axis.
+
+    One unsigned compare per axis: a negative coordinate wraps above any
+    extent.
+    """
+    u = np.ascontiguousarray(indices, dtype=np.int64).view(np.uint64)
+    return ((u[:, 0] < np.uint64(extent[0])) & (u[:, 1] < np.uint64(extent[1]))
+            & (u[:, 2] < np.uint64(extent[2])))
+
+
+def padded_keys(indices, extent) -> np.ndarray:
+    """Scalar keys of (N, 3) index rows on the extent padded by one voxel per
+    side: ((x+1)(ey+2) + y+1)(ez+2) + z+1.
+
+    Keys ascend with the lexicographic (x, y, z) order of the rows. For a row
+    i inside the extent and any d in {-1, 0, 1}^3, key(i + d) = key(i) +
+    key(d) - key(0), and i + d never aliases another site across the grid
+    edge. VoxelGridSpec keeps the padded key space inside int64.
+    """
+    ey, ez = int(extent[1]) + 2, int(extent[2]) + 2
+    return ((indices[:, 0] + 1) * ey + indices[:, 1] + 1) * ez + indices[:, 2] + 1
+
+
+def key_rows(keys, extent) -> np.ndarray:
+    """(N, 3) index rows of padded keys: the inverse of padded_keys."""
+    ey, ez = int(extent[1]) + 2, int(extent[2]) + 2
+    rows = np.empty((len(keys), 3), dtype=np.int64)
+    rows[:, 0], rest = np.divmod(keys, ey * ez)
+    rows[:, 1], rows[:, 2] = np.divmod(rest, ez)
+    rows -= 1
+    return rows
+
+
 class SparseVoxelTensor:
     """Immutable (indices, features) pair with O(1) expected coordinate lookup.
 
@@ -83,7 +123,9 @@ class SparseVoxelTensor:
     origin_flags: optional (N,) int8 in {ORIGIN_LIDAR, ORIGIN_VIRTUAL,
         ORIGIN_MIXED}, tracking point provenance per voxel.
 
-    Lookup structures (sorted keys, the 27-offset kernel map) are built
+    Neighbours are found on sorted padded_keys: a query row is keyed once,
+    and each kernel offset is one scalar add and one searchsorted. These
+    lookup structures (sorted keys, the 27-offset kernel map) are built
     lazily, once per site set: `with_features` shares them, while
     `take_rows` and every new tensor start without.
     """
@@ -125,19 +167,27 @@ class SparseVoxelTensor:
         return self._lookup
 
     def linear_keys(self, indices=None) -> np.ndarray:
-        """Collision-free scalar keys for index rows within this extent."""
+        """Collision-free unpadded scalar keys (x*ey + y)*ez + z for index
+        rows within this extent; a stable hash of a site set."""
         if indices is None:
             indices = self.indices
         ex, ey, ez = self.spec.extent
         return (indices[:, 0] * ey + indices[:, 1]) * ez + indices[:, 2]
 
     def sorted_keys(self):
-        """(sorted linear keys, row order) cached for vectorized gathers."""
+        """(sorted padded keys, row order) cached for vectorized gathers."""
         if self._sorted is None:
-            keys = self.linear_keys()
+            keys = padded_keys(self.indices, self.spec.extent)
             order = np.argsort(keys, kind="stable")
             self._sorted = (keys[order], order)
         return self._sorted
+
+    def _locate(self, keys):
+        """(position in sorted_keys, hit mask) per padded query key."""
+        skeys, _ = self.sorted_keys()
+        pos = np.searchsorted(skeys, keys)
+        np.minimum(pos, len(skeys) - 1, out=pos)
+        return pos, skeys[pos] == keys
 
     def find_rows(self, indices) -> np.ndarray:
         """Row position of each query index, -1 where absent.
@@ -145,34 +195,41 @@ class SparseVoxelTensor:
         Queries outside the extent are reported absent.
         """
         indices = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
-        extent = np.asarray(self.spec.extent, dtype=np.int64)
         rows = np.full(len(indices), -1, dtype=np.int64)
         if self.n == 0 or len(indices) == 0:
             return rows
-        inside = np.all((indices >= 0) & (indices < extent), axis=1)
-        if not inside.any():
-            return rows
-        keys = self.linear_keys(indices[inside])
-        skeys, order = self.sorted_keys()
-        pos = np.searchsorted(skeys, keys)
-        pos = np.minimum(pos, len(skeys) - 1)
-        hit = skeys[pos] == keys
-        found = np.where(hit, order[pos], -1)
-        rows[np.flatnonzero(inside)] = found
+        sel = np.flatnonzero(inside_extent(indices, self.spec.extent))
+        if len(sel):
+            pos, hit = self._locate(padded_keys(indices[sel], self.spec.extent))
+            rows[sel] = np.where(hit, self.sorted_keys()[1][pos], -1)
         return rows
 
     def pairs_at(self, base, offsets) -> list:
         """Per offset k, the (query rows, tensor rows) where base + offsets[k]
         is an occupied site.
 
-        Query rows ascend. Sites are unique, so when the queries are unique
-        too, neither side repeats within one offset.
+        base rows must lie inside the extent and offsets in {-1, 0, 1}^3, so
+        that each offset is one add to the padded keys of base. Query rows
+        ascend. Sites are unique, so when the queries are unique too, neither
+        side repeats within one offset.
         """
+        base = np.asarray(base, dtype=np.int64).reshape(-1, 3)
+        offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, 3)
+        extent = self.spec.extent
+        if not inside_extent(base, extent).all() or np.abs(offsets).max(initial=0) > 1:
+            raise ValueError("pairs_at needs base rows inside the extent "
+                             "and offsets in {-1, 0, 1}")
+        empty = np.zeros(0, dtype=np.int64)
+        if self.n == 0 or len(base) == 0:
+            return [(empty, empty) for _ in offsets]
+        keys = padded_keys(base, extent)
+        shifts = padded_keys(offsets, extent) - padded_keys(np.zeros((1, 3), np.int64), extent)
+        order = self.sorted_keys()[1]
         pairs = []
-        for off in offsets:
-            found = self.find_rows(base + off)
-            rows = np.flatnonzero(found >= 0)
-            pairs.append((rows, found[rows]))
+        for shift in shifts:
+            pos, hit = self._locate(keys + shift)
+            rows = np.flatnonzero(hit)
+            pairs.append((rows, order[pos[rows]]))
         return pairs
 
     def kernel_map(self) -> tuple:
@@ -246,15 +303,14 @@ def _validate_tensor(indices, features, spec, origin_flags):
         raise ValueError("origin_flags length does not match voxel count")
     if n == 0:
         return
-    extent = np.asarray(spec.extent, dtype=np.int64)
-    outside = ~np.all((indices >= 0) & (indices < extent), axis=1)
+    outside = ~inside_extent(indices, spec.extent)
     if outside.any():
         bad = indices[np.flatnonzero(outside)[0]]
         raise ValueError(
             f"index {tuple(int(v) for v in bad)} outside grid extent "
-            f"{tuple(int(v) for v in extent)}"
+            f"{tuple(int(v) for v in spec.extent)}"
         )
-    keys = (indices[:, 0] * extent[1] + indices[:, 1]) * extent[2] + indices[:, 2]
+    keys = padded_keys(indices, spec.extent)
     uniq, counts = np.unique(keys, return_counts=True)
     if (counts > 1).any():
         dup_key = uniq[np.argmax(counts > 1)]

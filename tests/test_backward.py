@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from virconv import ActivationSpec, KernelWeights, SeededRng, SpconvWeights
-from virconv.oracle import gradcheck
+from virconv.oracle import MIN_CHECKED_SHARE, gradcheck
 from conftest import random_h2d, random_tensor
 
 LEAKY = ActivationSpec("leaky_relu", 0.1)
@@ -24,20 +24,25 @@ def setup_case(op, seed=0, extent=(6, 6, 6), c_in=3, c_out=4):
 @pytest.mark.parametrize("op", ["conv3d", "conv2d", "nrconv", "spconv"])
 def test_gradients_match_finite_differences(op):
     t, h2d, w, rng = setup_case(op)
-    err = gradcheck(op, t, h2d, w, LEAKY, rng, num_probes=40)
+    err, checked, skipped = gradcheck(op, t, h2d, w, LEAKY, rng, num_probes=40)
+    assert checked + skipped == 40 and checked >= MIN_CHECKED_SHARE * 40
     assert err < 1e-6, f"{op}: max relative error {err:.3e}"
 
 
 def test_gradcheck_detects_corrupted_gradient():
     t, h2d, w, rng = setup_case("conv3d", seed=3)
-    err = gradcheck("conv3d", t, h2d, w, LEAKY, rng, num_probes=40, corrupt=True)
-    assert err > 1e-4
+    err, checked, _ = gradcheck("conv3d", t, h2d, w, LEAKY, rng, num_probes=40,
+                                corrupt=True)
+    assert checked > 0 and err > 1e-4
 
 
 @pytest.mark.parametrize("op", ["conv3d", "nrconv"])
 def test_gradients_with_identity_activation(op):
     t, h2d, w, rng = setup_case(op, seed=11)
-    err = gradcheck(op, t, h2d, w, ActivationSpec("identity"), rng, num_probes=30)
+    err, checked, skipped = gradcheck(op, t, h2d, w, ActivationSpec("identity"), rng,
+                                      num_probes=30)
+    # The identity has no kink, so no probe may be skipped.
+    assert (checked, skipped) == (30, 0)
     assert err < 1e-6
 
 

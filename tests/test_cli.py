@@ -81,6 +81,23 @@ def test_truncated_input_is_parse_error(tmp_path, scene_dir, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_bin_is_parse_error(tmp_path, scene_dir, capsys):
+    bad = tmp_path / "nan.bin"
+    rec = np.ones((4, 4), "<f4")
+    rec[2, 0] = np.nan
+    rec.tofile(bad)
+    code = run(["forward", "--lidar", bad, "--calib", scene_dir / "calib.txt"])
+    assert code == EXIT_PARSE
+    assert "non-finite coordinate" in capsys.readouterr().err
+
+
+def test_key_overflowing_extent_is_config_error(capsys):
+    # An extent of 2**21 per axis puts (2**21 + 2)**3 padded keys past int64.
+    code = run(["gradcheck", "--op", "conv3d", "--size", 2 ** 21])
+    assert code == EXIT_CONFIG
+    assert "overflows int64" in capsys.readouterr().err
+
+
 def test_bad_config_is_config_error(scene_dir, capsys):
     code = run(["stvd-stats", "--scene", scene_dir, "--bins", 0])
     assert code == EXIT_CONFIG
@@ -124,6 +141,17 @@ def test_gradcheck_command_passes_and_detects_corruption(capsys):
     assert "PASS" in capsys.readouterr().out
     assert run(["gradcheck", "--op", "conv3d", "--size", 5, "--corrupt"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("checked, skipped", [(0, 100), (89, 11)])
+def test_gradcheck_command_fails_when_too_few_probes_compared(monkeypatch, capsys,
+                                                              checked, skipped):
+    # An exact error over too few compared probes proves nothing.
+    monkeypatch.setattr("virconv.cli.gradcheck",
+                        lambda *a, **k: (0.0, checked, skipped))
+    assert run(["gradcheck", "--op", "conv2d", "--size", 3]) == 1
+    out = capsys.readouterr().out
+    assert f"checked={checked} skipped={skipped}" in out and "FAIL" in out
 
 
 def test_bench_stvd_csv(scene_dir, tmp_path):

@@ -148,6 +148,20 @@ def test_width_mismatch_raises(rng):
         conv2d_branch(t, np.zeros((1, 2), np.int64), KernelWeights.initialize(3, 4, rng))
 
 
+def test_empty_tensor_downsample_backward_returns_empty_gradient(rng):
+    spec = VoxelGridSpec(origin=(0, 0, 0), voxel_size=(1, 1, 1), extent=(4, 4, 4))
+    t = SparseVoxelTensor(np.zeros((0, 3), np.int64), np.zeros((0, 3)), spec,
+                          origin_flags=np.zeros(0))
+    sw = SpconvWeights.initialize(3, 4, rng)
+    from virconv.conv import Ctx, spconv_downsample_backward
+    ctx = Ctx()
+    out = spconv_downsample(t, sw, LEAKY, ctx)
+    assert out.n == 0 and out.origin_flags.dtype == np.int8
+    grad_in = spconv_downsample_backward(ctx, np.zeros((out.n, 4)))
+    assert grad_in.shape == (0, 3)
+    assert not sw.g_w.any() and not sw.g_bias.any()
+
+
 def test_empty_tensor_passthrough(rng):
     spec = VoxelGridSpec(origin=(0, 0, 0), voxel_size=(1, 1, 1), extent=(4, 4, 4))
     t = SparseVoxelTensor(np.zeros((0, 3), np.int64), np.zeros((0, 3)), spec)

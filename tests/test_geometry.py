@@ -235,6 +235,19 @@ def test_truncated_bin_reports_byte_offset(tmp_path):
         read_velodyne_bin(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("reader, width", [(read_velodyne_bin, 4),
+                                           (read_virtual_bin, 4),
+                                           (read_fused_bin, 5)])
+def test_bin_readers_reject_non_finite_coordinates(tmp_path, reader, width, bad):
+    rec = np.zeros((3, width), "<f4")
+    rec[1, 2] = bad
+    path = tmp_path / "bad.bin"
+    rec.tofile(path)
+    with pytest.raises(FormatError, match="non-finite coordinate in record 1"):
+        reader(path)
+
+
 def test_fused_bin_roundtrip(tmp_path, rng):
     cloud = make_cloud(rng)
     path = tmp_path / "fused.bin"

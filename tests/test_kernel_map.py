@@ -67,6 +67,17 @@ def assert_injective(pairs):
         assert len(np.unique(in_rows)) == len(in_rows)
 
 
+def test_pairs_at_rejects_queries_it_cannot_key():
+    spec = VoxelGridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extent=(3, 3, 3))
+    t = SparseVoxelTensor([[0, 0, 0], [1, 1, 1]], np.zeros((2, 1)), spec)
+    with pytest.raises(ValueError, match="inside the extent"):
+        t.pairs_at(np.array([[3, 0, 0]]), OFFSETS_3D)
+    with pytest.raises(ValueError, match="inside the extent"):
+        t.pairs_at(np.array([[0, -1, 0]]), OFFSETS_3D)
+    with pytest.raises(ValueError, match="offsets in"):
+        t.pairs_at(t.indices, np.array([[2, 0, 0]]))
+
+
 @settings(deadline=None, max_examples=80)
 @given(case=site_sets(), seed=st.integers(0, 1000))
 def test_kernel_maps_match_bruteforce_and_are_injective(case, seed):

@@ -1,0 +1,160 @@
+"""Property tests of the fixed-cost paths against brute force: per-cell
+pooling and its gradient routing under many ties, find_rows on queries
+outside the extent, and voxelize with points cropped on every face."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from virconv import ActivationSpec, KernelWeights, SeededRng, SparseVoxelTensor, VoxelGridSpec
+from virconv.conv import Ctx, conv2d_branch, conv2d_branch_backward
+from virconv.geometry import INVALID_2D, SparsePointCloud, voxelize
+from virconv.oracle import dense_conv2d_branch
+
+LEAKY = ActivationSpec("leaky_relu", 0.1)
+OFFS_2D = [(du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1)]
+
+
+@st.composite
+def tied_cells(draw):
+    """(features, h2d): small integer features, so channel maxima tie often,
+    and cells drawn from a 3x3 patch (negative cells included), so each cell
+    holds rows scattered across the tensor; some rows are invalid."""
+    n = draw(st.integers(0, 30))
+    c = draw(st.integers(1, 3))
+    feats = draw(st.lists(st.lists(st.integers(-1, 1), min_size=c, max_size=c),
+                          min_size=n, max_size=n))
+    cell = st.one_of(st.just((INVALID_2D, INVALID_2D)),
+                     st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+    h2d = draw(st.lists(cell, min_size=n, max_size=n))
+    return (np.array(feats, np.float64).reshape(n, c),
+            np.array(h2d, np.int64).reshape(n, 2))
+
+
+def brute_conv2d_input_grad(X, h2d, w, act, grad_out):
+    """dL/dX of the 2D branch: each pooled gradient goes to the first row, in
+    row order, that holds the cell's channel max."""
+    members = {}
+    for r, (u, v) in enumerate(h2d):
+        if u != INVALID_2D:
+            members.setdefault((int(u), int(v)), []).append(r)
+    pooled = {cell: X[rows].max(axis=0) for cell, rows in members.items()}
+    g_pooled = {cell: np.zeros(X.shape[1]) for cell in members}
+    for (u, v), rows in members.items():
+        pre = w.bias2d.copy()
+        for k, (du, dv) in enumerate(OFFS_2D):
+            if (u + du, v + dv) in pooled:
+                pre = pre + pooled[(u + du, v + dv)] @ w.w2d[k]
+        gpre = grad_out[rows].sum(axis=0) * act.deriv(pre)
+        for k, (du, dv) in enumerate(OFFS_2D):
+            if (u + du, v + dv) in pooled:
+                g_pooled[(u + du, v + dv)] += gpre @ w.w2d[k].T
+    gX = np.zeros_like(X)
+    for cell, rows in members.items():
+        for ch in range(X.shape[1]):
+            first = next(r for r in rows if X[r, ch] == pooled[cell][ch])
+            gX[first, ch] += g_pooled[cell][ch]
+    return gX
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=tied_cells(), seed=st.integers(0, 1000))
+def test_pool_winners_and_pooled_gradients_take_first_max_in_row_order(case, seed):
+    X, h2d = case
+    rng = SeededRng(seed)
+    n, c = X.shape
+    spec = VoxelGridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0),
+                         extent=(max(n, 1), 1, 1))
+    t = SparseVoxelTensor(np.stack([np.arange(n), np.zeros(n), np.zeros(n)], axis=1),
+                          X, spec)
+    w = KernelWeights.initialize(c, 4, rng)
+    grad_out = rng.gen.normal(size=(n, 2))
+    ctx = Ctx()
+    out = conv2d_branch(t, h2d, w, LEAKY, ctx)
+    assert np.allclose(out, dense_conv2d_branch(t, h2d, w, LEAKY), rtol=0, atol=1e-12)
+    got = conv2d_branch_backward(ctx, grad_out)
+    want = brute_conv2d_input_grad(X, h2d, w, LEAKY, grad_out)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@st.composite
+def sites_and_queries(draw):
+    """(extent, unique sites, queries): queries cover every axis below 0 and at
+    or above the extent, far outside it, and inside it, plus for each site the
+    outside queries whose padded key equals the site's when the inside test
+    is skipped."""
+    extent = draw(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)))
+    site = st.tuples(*(st.integers(0, e - 1) for e in extent))
+    sites = list(dict.fromkeys(draw(st.lists(site, max_size=40))))
+    near = st.tuples(*(st.integers(-2, e + 1) for e in extent))
+    queries = draw(st.lists(near, max_size=40))
+    ey, ez = extent[1] + 2, extent[2] + 2
+    for x, y, z in sites:
+        queries += [(x + 1, y - ey, z), (x - 1, y + ey, z), (x, y + 1, z - ez), (x, y - 1, z + ez)]
+    for axis in range(3):
+        for bad in (-1, -(2 ** 40), extent[axis], extent[axis] + 1, 2 ** 40):
+            q = list(draw(site))
+            q[axis] = bad
+            queries.append(tuple(q))
+    return extent, sites, queries
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=sites_and_queries())
+def test_find_rows_matches_dict_lookup(case):
+    extent, sites, queries = case
+    spec = VoxelGridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extent=extent)
+    t = SparseVoxelTensor(np.array(sites, np.int64).reshape(-1, 3),
+                          np.zeros((len(sites), 1)), spec)
+    row_of = {s: i for i, s in enumerate(sites)}
+    want = [row_of.get(q, -1) for q in queries]
+    assert t.find_rows(np.array(queries, np.int64).reshape(-1, 3)).tolist() == want
+
+
+ORIGIN = (-1.0, 0.5, -2.0)
+VOXEL = (0.5, 0.25, 1.0)
+
+
+@st.composite
+def clouds_on_grid(draw):
+    """(extent, points): dyadic coordinates, so every point lies exactly where
+    drawn; positions run one voxel past each face of the extent, and points
+    sit exactly on the lower and upper boundary of every axis."""
+    extent = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
+    cell = st.tuples(*(st.tuples(st.integers(-2, e + 1), st.sampled_from([0.0, 0.25, 0.5, 0.75]))
+                       for e in extent))
+    cells = draw(st.lists(cell, max_size=60))
+    for axis in range(3):
+        for face in (0, extent[axis]):
+            c = list(draw(cell))
+            c[axis] = (face, 0.0)
+            cells.append(tuple(c))
+    pts = []
+    for c in cells:
+        xyz = [ORIGIN[a] + (k + frac) * VOXEL[a] for a, (k, frac) in enumerate(c)]
+        virtual = draw(st.booleans())
+        alpha = 0.0 if virtual else draw(st.sampled_from([0.0, 0.3, 1.0]))
+        pts.append(xyz + [alpha, float(virtual)])
+    return extent, np.array(pts, np.float64).reshape(-1, 5)
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=clouds_on_grid())
+def test_voxelize_matches_per_voxel_python_mean(case):
+    extent, pts = case
+    spec = VoxelGridSpec(origin=ORIGIN, voxel_size=VOXEL, extent=extent)
+    members = {}
+    for p in pts:
+        ix = tuple(math.floor((p[a] - ORIGIN[a]) / VOXEL[a]) for a in range(3))
+        if all(0 <= ix[a] < extent[a] for a in range(3)):
+            members.setdefault(ix, []).append(p)
+    keys = sorted(members)
+    t = voxelize(SparsePointCloud(pts), spec)
+    assert t.indices.tolist() == [list(k) for k in keys]
+    want = np.array([np.mean(members[k], axis=0) for k in keys]).reshape(-1, 5)
+    assert np.allclose(t.features, want, rtol=1e-12, atol=1e-12)
+    beta = want[:, 4]
+    assert t.origin_flags.tolist() == np.where(
+        beta < 0.5, 0, np.where(beta > 0.5, 1, 2)).tolist()

@@ -52,6 +52,16 @@ def test_spec_validation():
                       stride_level=3)
 
 
+def test_spec_rejects_extents_whose_padded_keys_overflow_int64():
+    # Keys run over the extent padded by one voxel per side.
+    side = 2 ** 21 - 3
+    VoxelGridSpec(origin=(0, 0, 0), voxel_size=(1, 1, 1), extent=(side,) * 3)
+    with pytest.raises(ValueError, match="overflows int64"):
+        VoxelGridSpec(origin=(0, 0, 0), voxel_size=(1, 1, 1), extent=(side + 1,) * 3)
+    with pytest.raises(ValueError, match="overflows int64"):
+        VoxelGridSpec(origin=(0, 0, 0), voxel_size=(1, 1, 1), extent=(2 ** 62, 1, 1))
+
+
 def test_downsampled_spec_doubles_stride_halves_extent_ceil():
     spec = VoxelGridSpec(origin=(1, 2, 3), voxel_size=(0.1, 0.2, 0.3),
                          extent=(9, 8, 1), stride_level=2)
