@@ -9,10 +9,10 @@ from virconv import (
     SeededRng,
     SparsePointCloud,
     VoxelGridSpec,
-    neighbors_3d,
     voxelize,
 )
 from virconv.geometry import grid_points
+from virconv.tensor import OFFSETS_3D
 
 rng = SeededRng(0)
 
@@ -33,11 +33,13 @@ print(f"{cloud.n} points -> {tensor.n} occupied voxels "
       f"({tensor.n / np.prod(spec.extent):.1%} of the grid)")
 print(f"feature columns are mean [x, y, z, alpha, beta]: {tensor.features[0]}")
 
-# Constant-time coordinate lookup and 3x3x3 neighborhood queries.
+# Coordinate lookup (searchsorted on sorted site keys) and 3x3x3
+# neighborhood queries: per offset, the (query row, tensor row) pairs found.
 site = tuple(int(v) for v in tensor.indices[123])
-print(f"voxel {site} lives at row {tensor.lookup[site]}")
-hits = neighbors_3d(tensor, 123)
-print(f"voxel {site} has {len(hits)} occupied neighbors (incl. itself)")
+print(f"voxel {site} lives at row {tensor.find_rows([site])[0]}")
+pairs = tensor.pairs_at(tensor.indices[123:124], OFFSETS_3D)
+hits = sum(len(in_rows) for _, in_rows in pairs)
+print(f"voxel {site} has {hits} occupied neighbors (incl. itself)")
 
 # Every voxel knows its metric center.
 centers = grid_points(tensor)

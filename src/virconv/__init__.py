@@ -6,8 +6,6 @@ from .tensor import (
     ORIGIN_VIRTUAL,
     SparseVoxelTensor,
     VoxelGridSpec,
-    build_tensor,
-    neighbors_3d,
 )
 from .geometry import (
     AugmentationRecord,
@@ -27,10 +25,8 @@ from .geometry import (
 from .stvd import (
     StvdConfig,
     bin_histogram,
-    fps_sample,
     input_stvd,
     layer_stvd,
-    random_sample,
 )
 from .conv import (
     ActivationSpec,
@@ -63,13 +59,12 @@ from .rng import SeededRng
 
 __all__ = [
     "ORIGIN_LIDAR", "ORIGIN_MIXED", "ORIGIN_VIRTUAL",
-    "SparseVoxelTensor", "VoxelGridSpec", "build_tensor", "neighbors_3d",
+    "SparseVoxelTensor", "VoxelGridSpec",
     "AugmentationRecord", "Calibration", "SparsePointCloud",
     "apply_augmentation", "apply_inverse", "default_grid_spec", "grid_points",
     "parse_kitti_calib", "project_to_image", "project_voxels",
     "read_velodyne_bin", "read_virtual_bin", "voxelize",
-    "StvdConfig", "bin_histogram", "fps_sample", "input_stvd", "layer_stvd",
-    "random_sample",
+    "StvdConfig", "bin_histogram", "input_stvd", "layer_stvd",
     "ActivationSpec", "Ctx", "KernelWeights", "SpconvWeights",
     "conv2d_branch", "nrconv", "spconv_downsample", "submanifold_conv3d",
     "BlockWeights", "NetWeights", "VirConvBlockSpec", "VirConvNetSpec",

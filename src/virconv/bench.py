@@ -10,7 +10,7 @@ discard and is the speedup baseline by definition.
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,14 +118,7 @@ def run_sweep(scene_dir, rates, repeats: int, seed: int,
             keep = 0
         else:
             keep = solve_keep_per_bin(nearby, rate)
-            cfg = StvdConfig(
-                num_bins=base_cfg.num_bins,
-                nearby_limit=base_cfg.nearby_limit,
-                keep_per_nearby_bin=keep,
-                bin_range=base_cfg.bin_range,
-                layer_discard_rate=base_cfg.layer_discard_rate,
-                mode=base_cfg.mode,
-            )
+            cfg = replace(base_cfg, keep_per_nearby_bin=keep)
             use_stvd = True
 
         after = input_stvd(base_tensor, cfg, SeededRng(seed)).n if use_stvd else base_tensor.n

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .bench import BenchReport, STAGE_KEYS, config_hash, run_sweep
+from .bench import STAGE_KEYS, config_hash, run_sweep
 from .geometry import (
     AugmentationRecord,
     FormatError,

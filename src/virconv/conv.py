@@ -19,11 +19,14 @@ branch reads its (output row, input row) pairs from the tensor's cached
 kernel map, built once per site set and shared by every layer of a block and
 by their backward passes. The 2D branch groups rows by cell with one stable
 sort of their cell keys and looks the cells up as the sites of a
-one-voxel-thick grid. Per offset, every pair map here (3D, 2D cell,
-stride-2) is injective in both directions, so scatters are plain
-fancy-index accumulation. Where indices repeat, cells are contiguous
-segments of the sorted rows: pooling is np.maximum.reduceat, and sums run
-through np.bincount, which adds in row order as np.add.at would.
+one-voxel-thick grid. The 3D branch, the 2D cell conv and the downsample
+all run one gather-matmul-scatter loop over their pair map, _pair_conv,
+and its backward, _pair_conv_backward. Per offset, every
+pair map here (3D, 2D cell, stride-2) is injective in both directions, so
+scatters are plain fancy-index accumulation. Where indices repeat, cells
+are contiguous segments of the sorted rows: pooling is np.maximum.reduceat,
+and sums run through np.bincount, which adds in row order as np.add.at
+would.
 
 Backward passes are exact: pass a Ctx to a forward call, then call the
 matching *_backward with the upstream gradient. Weight gradients accumulate
@@ -206,6 +209,30 @@ class Ctx:
         return self.data
 
 
+def _pair_conv(X: np.ndarray, pairs, w: np.ndarray, bias: np.ndarray,
+               n_out: int) -> np.ndarray:
+    """Pre-activation (n_out, C_out) of a pair-map convolution: bias plus,
+    per offset k, X[in rows] @ w[k] added into the output rows."""
+    pre = np.broadcast_to(bias, (n_out, w.shape[2])).copy()
+    for k, (out_rows, in_rows) in enumerate(pairs):
+        if len(out_rows):
+            pre[out_rows] += X[in_rows] @ w[k]
+    return pre
+
+
+def _pair_conv_backward(X: np.ndarray, pairs, w: np.ndarray, g_w: np.ndarray,
+                        g_bias: np.ndarray, gpre: np.ndarray) -> np.ndarray:
+    """Backward of _pair_conv: accumulates into g_bias and g_w and returns
+    the gradient with respect to X."""
+    g_bias += gpre.sum(axis=0)
+    gX = np.zeros_like(X)
+    for k, (out_rows, in_rows) in enumerate(pairs):
+        if len(out_rows):
+            g_w[k] += X[in_rows].T @ gpre[out_rows]
+            gX[in_rows] += gpre[out_rows] @ w[k].T
+    return gX
+
+
 def submanifold_conv3d(tensor: SparseVoxelTensor, weights: KernelWeights,
                        act: ActivationSpec = RELU, ctx: Ctx = None) -> SparseVoxelTensor:
     """3x3x3 convolution over occupied sites only; output sites = input sites."""
@@ -213,14 +240,11 @@ def submanifold_conv3d(tensor: SparseVoxelTensor, weights: KernelWeights,
         raise ValueError(
             f"feature width {tensor.width} does not match kernel C_in {weights.c_in}"
         )
-    X = tensor.features
-    pre = np.broadcast_to(weights.bias3d, (tensor.n, weights.c_half)).copy()
-    for k, (out_rows, in_rows) in enumerate(tensor.kernel_map()):
-        if len(out_rows):
-            pre[out_rows] += X[in_rows] @ weights.w3d[k]
+    pre = _pair_conv(tensor.features, tensor.kernel_map(), weights.w3d,
+                     weights.bias3d, tensor.n)
     out = act.apply(pre)
     if ctx is not None:
-        ctx.save(kind="conv3d", tensor=tensor, weights=weights, act=act, pre=pre)
+        ctx.save(tensor=tensor, weights=weights, act=act, pre=pre)
     return tensor.with_features(out)
 
 
@@ -228,14 +252,8 @@ def submanifold_conv3d_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     d = ctx.require("submanifold_conv3d")
     tensor, weights, act = d["tensor"], d["weights"], d["act"]
     gpre = grad_out * act.deriv(d["pre"])
-    X = tensor.features
-    gX = np.zeros_like(X)
-    weights.g_bias3d += gpre.sum(axis=0)
-    for k, (out_rows, in_rows) in enumerate(tensor.kernel_map()):
-        if len(out_rows):
-            weights.g_w3d[k] += X[in_rows].T @ gpre[out_rows]
-            gX[in_rows] += gpre[out_rows] @ weights.w3d[k].T
-    return gX
+    return _pair_conv_backward(tensor.features, tensor.kernel_map(), weights.w3d,
+                               weights.g_w3d, weights.g_bias3d, gpre)
 
 
 def _group_cells(h2d: np.ndarray):
@@ -291,17 +309,14 @@ def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
         pooled = np.maximum.reduceat(X[order], starts, axis=0)
     else:
         pooled = np.zeros((0, tensor.width))
-    pre = np.broadcast_to(weights.bias2d, (m, weights.c_half)).copy()
-    for k, (out_rows, in_rows) in enumerate(pairs):
-        if len(out_rows):
-            pre[out_rows] += pooled[in_rows] @ weights.w2d[k]
+    pre = _pair_conv(pooled, pairs, weights.w2d, weights.bias2d, m)
     cell_out = act.apply(pre)
     out = np.empty((tensor.n, weights.c_half))
     empty_pre = weights.bias2d[None, :]
     out[~valid] = act.apply(empty_pre)
     out[order] = cell_out[seg]
     if ctx is not None:
-        ctx.save(kind="conv2d", tensor=tensor, weights=weights, act=act,
+        ctx.save(tensor=tensor, weights=weights, act=act,
                  valid=valid, order=order, starts=starts, pooled=pooled,
                  pre=pre, pairs=pairs)
     return out
@@ -350,12 +365,8 @@ def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     for ch in range(weights.c_half):
         g_cell[:, ch] = np.bincount(seg, weights=g_members[:, ch], minlength=m)
     gpre = g_cell * act.deriv(d["pre"])
-    weights.g_bias2d += gpre.sum(axis=0)
-    g_pooled = np.zeros_like(pooled)
-    for k, (out_rows, in_rows) in enumerate(d["pairs"]):
-        if len(out_rows):
-            weights.g_w2d[k] += pooled[in_rows].T @ gpre[out_rows]
-            g_pooled[in_rows] += gpre[out_rows] @ weights.w2d[k].T
+    g_pooled = _pair_conv_backward(pooled, d["pairs"], weights.w2d, weights.g_w2d,
+                                   weights.g_bias2d, gpre)
 
     # Route pooled gradients to the argmax member per (cell, channel). A row
     # belongs to one cell, so no (row, channel) target repeats.
@@ -375,7 +386,7 @@ def nrconv(tensor: SparseVoxelTensor, h2d: np.ndarray, weights: KernelWeights,
     out3 = submanifold_conv3d(tensor, weights, act, ctx3).features
     out2 = conv2d_branch(tensor, h2d, weights, act, ctx2)
     if ctx is not None:
-        ctx.save(kind="nrconv", ctx3=ctx3, ctx2=ctx2, c_half=weights.c_half)
+        ctx.save(ctx3=ctx3, ctx2=ctx2, c_half=weights.c_half)
     return tensor.with_features(np.concatenate([out3, out2], axis=1))
 
 
@@ -401,16 +412,11 @@ def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,
             f"{weights.w.shape[1]}"
         )
     out_spec = tensor.spec.downsampled()
-    c_out = weights.w.shape[2]
     keys, parent = np.unique(padded_keys(tensor.indices // 2, out_spec.extent),
                              return_inverse=True)
     out_idx = key_rows(keys, out_spec.extent)
-    X = tensor.features
-    pre = np.broadcast_to(weights.bias, (len(out_idx), c_out)).copy()
     pairs = tensor.pairs_at(2 * out_idx, OFFSETS_3D)
-    for k, (out_rows, in_rows) in enumerate(pairs):
-        if len(out_rows):
-            pre[out_rows] += X[in_rows] @ weights.w[k]
+    pre = _pair_conv(tensor.features, pairs, weights.w, weights.bias, len(out_idx))
     out = act.apply(pre)
     flags = None
     if tensor.origin_flags is not None:
@@ -423,8 +429,7 @@ def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,
                          np.where(frac > 0.5, ORIGIN_VIRTUAL, ORIGIN_MIXED)).astype(np.int8)
     result = SparseVoxelTensor(out_idx, out, out_spec, flags, _validate=False)
     if ctx is not None:
-        ctx.save(kind="spconv", tensor=tensor, weights=weights, act=act,
-                 pre=pre, pairs=pairs, n_out=len(out_idx))
+        ctx.save(tensor=tensor, weights=weights, act=act, pre=pre, pairs=pairs)
     return result
 
 
@@ -432,11 +437,5 @@ def spconv_downsample_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     d = ctx.require("spconv_downsample")
     tensor, weights, act = d["tensor"], d["weights"], d["act"]
     gpre = grad_out * act.deriv(d["pre"])
-    X = tensor.features
-    gX = np.zeros_like(X)
-    weights.g_bias += gpre.sum(axis=0)
-    for k, (out_rows, in_rows) in enumerate(d["pairs"]):
-        if len(out_rows):
-            weights.g_w[k] += X[in_rows].T @ gpre[out_rows]
-            gX[in_rows] += gpre[out_rows] @ weights.w[k].T
-    return gX
+    return _pair_conv_backward(tensor.features, d["pairs"], weights.w, weights.g_w,
+                               weights.g_bias, gpre)

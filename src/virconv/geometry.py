@@ -143,7 +143,7 @@ def default_grid_spec() -> VoxelGridSpec:
     )
 
 
-def voxelize(cloud: SparsePointCloud, spec: VoxelGridSpec, aggregation="mean") -> SparseVoxelTensor:
+def voxelize(cloud: SparsePointCloud, spec: VoxelGridSpec) -> SparseVoxelTensor:
     """Points into voxels: one row per occupied cell, per-voxel mean features.
 
     Points outside the spec's spatial range are silently dropped. Feature
@@ -151,8 +151,6 @@ def voxelize(cloud: SparsePointCloud, spec: VoxelGridSpec, aggregation="mean") -
     so the beta column is the virtual-point fraction; the origin flag follows
     it (< 0.5 lidar, > 0.5 virtual, == 0.5 mixed).
     """
-    if aggregation != "mean":
-        raise ValueError(f"unsupported aggregation {aggregation!r}")
     idx = cloud.xyz - np.asarray(spec.origin, dtype=np.float64)
     idx /= spec.cell_size
     np.floor(idx, out=idx)
@@ -264,7 +262,8 @@ def project_voxels(tensor: SparseVoxelTensor, record: AugmentationRecord,
 def _read_records(path, width: int) -> np.ndarray:
     """(N, width) float64 rows of little-endian float32 records.
 
-    Raises FormatError on a truncated record or a non-finite coordinate.
+    Raises FormatError on a truncated record or a non-finite value in any
+    field.
     """
     raw = np.fromfile(path, dtype="<f4")
     size = 4 * width
@@ -273,9 +272,9 @@ def _read_records(path, width: int) -> np.ndarray:
             f"{path}: truncated record at byte offset {raw.nbytes - raw.nbytes % size}"
         )
     rec = raw.reshape(-1, width).astype(np.float64)
-    bad = ~np.isfinite(rec[:, :3]).all(axis=1)
+    bad = ~np.isfinite(rec).all(axis=1)
     if bad.any():
-        raise FormatError(f"{path}: non-finite coordinate in record {np.flatnonzero(bad)[0]}")
+        raise FormatError(f"{path}: non-finite value in record {np.flatnonzero(bad)[0]}")
     return rec
 
 

@@ -7,7 +7,7 @@ the bin-based input discard once, and runs four blocks producing feature
 volumes of widths 16/32/64/64 at strides 1/2/4/8.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,17 +38,13 @@ class VirConvBlockSpec:
             raise ValueError("c_out must be even")
         if self.num_nrconv_layers < 1:
             raise ValueError("num_nrconv_layers must be positive")
+        if not (0.0 <= self.layer_stvd_rate < 1.0):
+            raise ValueError("layer_stvd_rate must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
 class VirConvNetSpec:
     blocks: tuple
-
-    def __post_init__(self):
-        stride = 1
-        for i, b in enumerate(self.blocks):
-            if i and b.downsample:
-                stride *= 2
 
     @classmethod
     def default(cls, c_in: int = 5, layer_stvd_rate: float = 0.15) -> "VirConvNetSpec":

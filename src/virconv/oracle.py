@@ -116,22 +116,6 @@ def neighbors_3d_bruteforce(tensor: SparseVoxelTensor, row: int):
     return found
 
 
-def fps_bruteforce(points: np.ndarray, keep_count: int):
-    """O(n^2 k) greedy max-min reference; start row 0, ties to lowest row."""
-    n = len(points)
-    chosen = [0]
-    while len(chosen) < keep_count:
-        best_row, best_d = None, -1.0
-        for r in range(n):
-            if r in chosen:
-                continue
-            d = min(float(np.sum((points[r] - points[c]) ** 2)) for c in chosen)
-            if d > best_d:
-                best_row, best_d = r, d
-        chosen.append(best_row)
-    return sorted(chosen)
-
-
 # ---------------------------------------------------------------------------
 # Finite-difference gradient checking
 

@@ -15,18 +15,11 @@ class SeededRng:
     """A named, reproducible random source."""
 
     seed: int
-    algorithm: str = "pcg64"
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported rng algorithm: {self.algorithm!r}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     @property
     def gen(self) -> np.random.Generator:
         return self._gen
-
-    def spawn(self, offset: int) -> "SeededRng":
-        """Derive an independent child stream; used to decouple pipeline stages."""
-        return SeededRng(seed=(self.seed * 0x9E3779B97F4A7C15 + offset) % (1 << 63))

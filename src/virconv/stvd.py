@@ -1,10 +1,9 @@
-"""Stochastic voxel discard and baseline samplers.
+"""Stochastic voxel discard.
 
 Input discard is bin-based: voxels are stratified by planar distance into
 uniform bins, nearby bins are capped at a fixed voxel budget, distant bins are
 kept in full. Layer discard is a plain uniform drop applied only during
-training. Random and farthest-point sampling are included as the baselines
-the bin scheme is compared against.
+training.
 
 Every sampler returns a row subset of its input: features pass through
 bit-exactly and relative input order is preserved.
@@ -27,15 +26,14 @@ class StvdConfig:
     """Bin-based input discard parameters.
 
     Defaults: 10 bins laid out uniformly over 100 m, nearby threshold 30 m,
-    1000 voxels kept per nearby bin, 15% layer discard. Voxels beyond
-    bin_range fall into an overflow bin and are always kept.
+    1000 voxels kept per nearby bin. Voxels beyond bin_range fall into an
+    overflow bin and are always kept.
     """
 
     num_bins: int = 10
     nearby_limit: float = 30.0
     keep_per_nearby_bin: int = 1000
     bin_range: float = 100.0
-    layer_discard_rate: float = 0.15
     mode: str = MODE_VIRTUAL_ONLY
 
     def __post_init__(self):
@@ -45,8 +43,6 @@ class StvdConfig:
             raise ValueError("keep_per_nearby_bin must be >= 1")
         if self.nearby_limit > self.bin_range:
             raise ValueError("nearby_limit must not exceed bin_range")
-        if not (0.0 <= self.layer_discard_rate < 1.0):
-            raise ValueError("layer_discard_rate must lie in [0, 1)")
         if self.mode not in (MODE_ALL, MODE_VIRTUAL_ONLY):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -115,42 +111,6 @@ def layer_stvd(tensor: SparseVoxelTensor, rate: float, rng: SeededRng,
     rows = rng.gen.choice(tensor.n, size=n_keep, replace=False)
     rows.sort()
     return tensor.take_rows(rows)
-
-
-def random_sample(tensor: SparseVoxelTensor, keep_fraction: float,
-                  rng: SeededRng) -> SparseVoxelTensor:
-    """Uniform random baseline sampler."""
-    if not (0.0 < keep_fraction <= 1.0):
-        raise ValueError("keep_fraction must lie in (0, 1]")
-    if keep_fraction == 1.0 or tensor.n == 0:
-        return tensor
-    n_keep = int(round(keep_fraction * tensor.n))
-    rows = rng.gen.choice(tensor.n, size=n_keep, replace=False)
-    rows.sort()
-    return tensor.take_rows(rows)
-
-
-def fps_sample(tensor: SparseVoxelTensor, keep_count: int) -> SparseVoxelTensor:
-    """Greedy farthest-point baseline over voxel grid points.
-
-    Deterministic: starts from row 0 and breaks max-min ties by lowest row
-    index. O(N * keep_count).
-    """
-    if keep_count > tensor.n:
-        raise ValueError(f"keep_count {keep_count} exceeds voxel count {tensor.n}")
-    if keep_count == tensor.n:
-        return tensor
-    pts = grid_points(tensor)
-    chosen = np.empty(keep_count, dtype=np.int64)
-    chosen[0] = 0
-    min_d2 = np.sum((pts - pts[0]) ** 2, axis=1)
-    for i in range(1, keep_count):
-        nxt = int(np.argmax(min_d2))  # argmax takes the first max: lowest row
-        chosen[i] = nxt
-        d2 = np.sum((pts - pts[nxt]) ** 2, axis=1)
-        np.minimum(min_d2, d2, out=min_d2)
-    chosen.sort()
-    return tensor.take_rows(chosen)
 
 
 def bin_histogram(tensor: SparseVoxelTensor, cfg: StvdConfig) -> np.ndarray:

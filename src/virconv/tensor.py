@@ -8,8 +8,7 @@ from hash iteration.
 Tensors are immutable after construction; all operations here are pure reads.
 """
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,7 +115,7 @@ def key_rows(keys, extent) -> np.ndarray:
 
 
 class SparseVoxelTensor:
-    """Immutable (indices, features) pair with O(1) expected coordinate lookup.
+    """Immutable (indices, features) pair of a sparse voxel grid.
 
     indices: (N, 3) int64, unique rows, all within the grid extent.
     features: (N, C) float64, finite.
@@ -147,7 +146,6 @@ class SparseVoxelTensor:
         self.features.setflags(write=False)
         if origin_flags is not None:
             origin_flags.setflags(write=False)
-        self._lookup = None
         self._sorted = None
         self._kernel_map = None
 
@@ -159,18 +157,10 @@ class SparseVoxelTensor:
     def width(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def lookup(self) -> dict:
-        """Map from (x, y, z) tuple to row position. Built lazily, once."""
-        if self._lookup is None:
-            self._lookup = {tuple(row): i for i, row in enumerate(self.indices)}
-        return self._lookup
-
-    def linear_keys(self, indices=None) -> np.ndarray:
-        """Collision-free unpadded scalar keys (x*ey + y)*ez + z for index
-        rows within this extent; a stable hash of a site set."""
-        if indices is None:
-            indices = self.indices
+    def linear_keys(self) -> np.ndarray:
+        """Collision-free unpadded scalar keys (x*ey + y)*ez + z of the
+        sites; a stable hash of a site set."""
+        indices = self.indices
         ex, ey, ez = self.spec.extent
         return (indices[:, 0] * ey + indices[:, 1]) * ez + indices[:, 2]
 
@@ -257,7 +247,6 @@ class SparseVoxelTensor:
             raise ValueError("features must be finite")
         flags = self.origin_flags if origin_flags == "keep" else origin_flags
         out = SparseVoxelTensor(self.indices, features, self.spec, flags, _validate=False)
-        out._lookup = self._lookup
         out._sorted = self._sorted
         out._kernel_map = self._kernel_map
         return out
@@ -285,9 +274,6 @@ class SparseVoxelTensor:
         if self.origin_flags is not None:
             d["origin_flags"] = self.origin_flags.tolist()
         return d
-
-    def to_debug_json(self) -> str:
-        return json.dumps(self.to_debug_dict())
 
 
 def _validate_tensor(indices, features, spec, origin_flags):
@@ -318,25 +304,3 @@ def _validate_tensor(indices, features, spec, origin_flags):
         raise ValueError(
             f"duplicate voxel index {tuple(int(v) for v in indices[row])}"
         )
-
-
-def build_tensor(indices, features, spec, origin_flags=None) -> SparseVoxelTensor:
-    """Construct a validated sparse tensor. Insertion order is preserved."""
-    return SparseVoxelTensor(indices, features, spec, origin_flags, _validate=True)
-
-
-def neighbors_3d(tensor: SparseVoxelTensor, row: int):
-    """Occupied voxels among the 27 neighborhood offsets of a site.
-
-    Returns [(offset tuple, row position), ...] ordered lexicographically over
-    (dz, dy, dx). The center offset (the query row itself) is always included.
-    """
-    if row < 0 or row >= tensor.n:
-        raise IndexError(f"row {row} out of range for tensor with {tensor.n} voxels")
-    probes = tensor.indices[row] + OFFSETS_3D
-    found = tensor.find_rows(probes)
-    return [
-        (tuple(OFFSETS_3D[k]), int(found[k]))
-        for k in range(len(OFFSETS_3D))
-        if found[k] >= 0
-    ]

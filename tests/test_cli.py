@@ -83,12 +83,17 @@ def test_truncated_input_is_parse_error(tmp_path, scene_dir, capsys):
 
 def test_non_finite_bin_is_parse_error(tmp_path, scene_dir, capsys):
     bad = tmp_path / "nan.bin"
-    rec = np.ones((4, 4), "<f4")
-    rec[2, 0] = np.nan
-    rec.tofile(bad)
-    code = run(["forward", "--lidar", bad, "--calib", scene_dir / "calib.txt"])
-    assert code == EXIT_PARSE
-    assert "non-finite coordinate" in capsys.readouterr().err
+    for col in (0, 3):   # x, then alpha (reflectance)
+        rec = np.ones((4, 4), "<f4")
+        rec[2, col] = np.nan
+        rec.tofile(bad)
+        for argv in (["forward", "--lidar", bad, "--calib", scene_dir / "calib.txt"],
+                     ["stvd-stats", "--lidar", bad],
+                     ["fuse", "--lidar", bad, "--virtual", scene_dir / "virtual.bin",
+                      "--out", tmp_path / "fused.bin"]):
+            assert run(argv) == EXIT_PARSE
+            assert "non-finite value in record 2" in capsys.readouterr().err
+        assert not (tmp_path / "fused.bin").exists()
 
 
 def test_key_overflowing_extent_is_config_error(capsys):

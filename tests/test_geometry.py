@@ -85,7 +85,7 @@ def test_voxelize_mean_matches_loop(rng):
         groups.setdefault(tuple(idx[i]), []).append(i)
     assert t.n == len(groups)
     for key, members in groups.items():
-        row = t.lookup[key]
+        row = t.find_rows([key])[0]
         assert np.allclose(t.features[row], cloud.points[members].mean(axis=0))
 
 
@@ -240,12 +240,14 @@ def test_truncated_bin_reports_byte_offset(tmp_path):
                                            (read_virtual_bin, 4),
                                            (read_fused_bin, 5)])
 def test_bin_readers_reject_non_finite_coordinates(tmp_path, reader, width, bad):
-    rec = np.zeros((3, width), "<f4")
-    rec[1, 2] = bad
-    path = tmp_path / "bad.bin"
-    rec.tofile(path)
-    with pytest.raises(FormatError, match="non-finite coordinate in record 1"):
-        reader(path)
+    # Column 2 is z, column 3 alpha: every field is checked, not just xyz.
+    for col in (2, 3):
+        rec = np.zeros((3, width), "<f4")
+        rec[1, col] = bad
+        path = tmp_path / "bad.bin"
+        rec.tofile(path)
+        with pytest.raises(FormatError, match="non-finite value in record 1"):
+            reader(path)
 
 
 def test_fused_bin_roundtrip(tmp_path, rng):

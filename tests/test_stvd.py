@@ -1,4 +1,4 @@
-"""Distance-stratified input discard and the sampling baselines."""
+"""Distance-stratified input discard and training-time layer discard."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,10 @@ from virconv import (
     StvdConfig,
     VoxelGridSpec,
     bin_histogram,
-    fps_sample,
     input_stvd,
     layer_stvd,
-    random_sample,
 )
-from virconv.oracle import fps_bruteforce
-from virconv.geometry import grid_points
 from virconv.tensor import ORIGIN_LIDAR, ORIGIN_VIRTUAL
-from conftest import random_tensor
 
 # A thin slab along +x: planar distance is dominated by the x index, so we
 # can place voxels in chosen distance bins directly.
@@ -61,8 +56,6 @@ def test_config_validation():
         StvdConfig(keep_per_nearby_bin=0)
     with pytest.raises(ValueError):
         StvdConfig(nearby_limit=200.0)
-    with pytest.raises(ValueError):
-        StvdConfig(layer_discard_rate=1.0)
     with pytest.raises(ValueError):
         StvdConfig(mode="everything")
 
@@ -118,24 +111,6 @@ def test_layer_discard_count_and_identity():
     assert same is t
     with pytest.raises(ValueError):
         layer_stvd(t, 1.0, SeededRng(1), training=True)
-
-
-def test_random_sample_count():
-    t = tensor_at_distances(np.linspace(5, 80, 64))
-    assert random_sample(t, 0.25, SeededRng(2)).n == 16
-    with pytest.raises(ValueError):
-        random_sample(t, 0.0, SeededRng(2))
-
-
-def test_fps_matches_bruteforce(rng):
-    for seed in range(5):
-        t = random_tensor(SeededRng(seed), extent=(9, 9, 9), occupancy=0.15)
-        k = min(12, t.n)
-        expect = fps_bruteforce(grid_points(t), k)
-        got = fps_sample(t, k)
-        assert np.array_equal(t.find_rows(got.indices), np.sort(expect))
-    with pytest.raises(ValueError):
-        fps_sample(t, t.n + 1)
 
 
 @settings(deadline=None, max_examples=30)

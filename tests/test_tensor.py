@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virconv import SeededRng, SparseVoxelTensor, VoxelGridSpec, build_tensor, neighbors_3d
+from virconv import SeededRng, SparseVoxelTensor, VoxelGridSpec
 from virconv.oracle import neighbors_3d_bruteforce
+from virconv.tensor import CENTER_3D, OFFSETS_3D
 from conftest import random_tensor
 
 SPEC = VoxelGridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(0.1, 0.1, 0.1), extent=(8, 8, 8))
@@ -15,27 +16,27 @@ SPEC = VoxelGridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(0.1, 0.1, 0.1), extent=
 def test_duplicate_indices_rejected_naming_site():
     idx = [[1, 2, 3], [0, 0, 0], [1, 2, 3]]
     with pytest.raises(ValueError, match=r"duplicate voxel index \(1, 2, 3\)"):
-        build_tensor(idx, np.zeros((3, 2)), SPEC)
+        SparseVoxelTensor(idx, np.zeros((3, 2)), SPEC)
 
 
 def test_out_of_extent_rejected():
     with pytest.raises(ValueError, match="outside grid extent"):
-        build_tensor([[0, 0, 8]], np.zeros((1, 1)), SPEC)
+        SparseVoxelTensor([[0, 0, 8]], np.zeros((1, 1)), SPEC)
     with pytest.raises(ValueError, match="outside grid extent"):
-        build_tensor([[-1, 0, 0]], np.zeros((1, 1)), SPEC)
+        SparseVoxelTensor([[-1, 0, 0]], np.zeros((1, 1)), SPEC)
 
 
 def test_row_count_and_finiteness_rejected():
     with pytest.raises(ValueError, match="does not match"):
-        build_tensor([[0, 0, 0]], np.zeros((2, 1)), SPEC)
+        SparseVoxelTensor([[0, 0, 0]], np.zeros((2, 1)), SPEC)
     with pytest.raises(ValueError, match="non-finite"):
-        build_tensor([[0, 0, 0]], np.array([[np.nan]]), SPEC)
+        SparseVoxelTensor([[0, 0, 0]], np.array([[np.nan]]), SPEC)
     with pytest.raises(ValueError, match="origin_flags"):
-        build_tensor([[0, 0, 0]], np.zeros((1, 1)), SPEC, origin_flags=[0, 1])
+        SparseVoxelTensor([[0, 0, 0]], np.zeros((1, 1)), SPEC, origin_flags=[0, 1])
 
 
 def test_arrays_are_frozen():
-    t = build_tensor([[0, 0, 0]], np.ones((1, 2)), SPEC)
+    t = SparseVoxelTensor([[0, 0, 0]], np.ones((1, 2)), SPEC)
     with pytest.raises(ValueError):
         t.features[0, 0] = 5.0
     with pytest.raises(ValueError):
@@ -76,7 +77,7 @@ def test_lookup_and_find_rows_roundtrip(rng):
     t = random_tensor(rng, extent=(10, 9, 8), occupancy=0.4)
     assert np.array_equal(t.find_rows(t.indices), np.arange(t.n))
     for i in range(0, t.n, 7):
-        assert t.lookup[tuple(t.indices[i])] == i
+        assert t.find_rows([tuple(t.indices[i])])[0] == i
     # Probes off the grid or at empty sites come back as -1.
     probes = np.array([[-1, 0, 0], [10, 9, 8], t.indices[0] + 0])
     found = t.find_rows(probes)
@@ -101,25 +102,23 @@ def test_neighbors_matches_bruteforce():
     for seed in range(10):
         t = random_tensor(SeededRng(seed), extent=(6, 6, 6), occupancy=0.35)
         for row in range(0, t.n, 5):
-            assert neighbors_3d(t, row) == neighbors_3d_bruteforce(t, row)
+            pairs = t.pairs_at(t.indices[row:row + 1], OFFSETS_3D)
+            hits = [(tuple(int(v) for v in OFFSETS_3D[k]), int(in_rows[0]))
+                    for k, (_, in_rows) in enumerate(pairs) if len(in_rows)]
+            assert hits == neighbors_3d_bruteforce(t, row)
 
 
 def test_neighbors_center_always_present(rng):
     t = random_tensor(rng, extent=(5, 5, 5))
-    hits = dict(neighbors_3d(t, 3))
-    assert hits[(0, 0, 0)] == 3
-
-
-def test_neighbors_row_out_of_range(rng):
-    t = random_tensor(rng)
-    with pytest.raises(IndexError):
-        neighbors_3d(t, t.n)
+    out_rows, in_rows = t.kernel_map()[CENTER_3D]
+    assert np.array_equal(out_rows, np.arange(t.n))
+    assert np.array_equal(in_rows, np.arange(t.n))
 
 
 def test_debug_dict_roundtrip(rng):
     t = random_tensor(rng, with_flags=True)
     d = t.to_debug_dict()
-    rebuilt = build_tensor(d["indices"], d["features"], t.spec, d["origin_flags"])
+    rebuilt = SparseVoxelTensor(d["indices"], d["features"], t.spec, d["origin_flags"])
     assert np.array_equal(rebuilt.indices, t.indices)
     assert np.allclose(rebuilt.features, t.features)
 
