@@ -17,7 +17,6 @@ from virconv import (
     fuse_early,
     virconvnet_forward,
 )
-from virconv.geometry import default_grid_spec
 from virconv.scene import SyntheticSceneSpec, generate_scene, synthetic_calibration
 
 scene = generate_scene(

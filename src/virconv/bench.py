@@ -18,8 +18,7 @@ from .geometry import AugmentationRecord, default_grid_spec, voxelize
 from .net import NetWeights, VirConvNetSpec, fuse_early, virconvnet_forward
 from .rng import SeededRng
 from .scene import load_scene, load_scene_calib
-from .stvd import StvdConfig, MODE_VIRTUAL_ONLY, bin_histogram, input_stvd
-from .tensor import ORIGIN_LIDAR
+from .stvd import StvdConfig, discard_bins, input_stvd
 
 STAGE_KEYS = ("voxelize_ms", "input_stvd_ms", "block1_ms", "block2_ms",
               "block3_ms", "block4_ms")
@@ -67,11 +66,8 @@ def solve_keep_per_bin(nearby_counts, rate: float) -> int:
 
 def nearby_discardable_counts(tensor, cfg: StvdConfig) -> list:
     """Population per nearby bin of voxels subject to discard."""
-    if cfg.mode == MODE_VIRTUAL_ONLY and tensor.origin_flags is not None:
-        subject = tensor.take_rows(np.flatnonzero(tensor.origin_flags != ORIGIN_LIDAR))
-    else:
-        subject = tensor
-    hist = bin_histogram(subject, cfg)
+    bins = discard_bins(tensor, cfg)
+    hist = np.bincount(bins[bins >= 0], minlength=cfg.num_bins)
     return [int(hist[b]) for b in range(cfg.num_bins) if cfg.is_nearby_bin(b)]
 
 
@@ -84,6 +80,8 @@ def run_sweep(scene_dir, rates, repeats: int, seed: int,
     """Run the backbone forward at each discard rate; R timed runs each."""
     if repeats < 5:
         raise ValueError("repeats must be >= 5 for stable medians")
+    if not all(0.0 <= r < 1.0 for r in rates):
+        raise ValueError("sweep rates must lie in [0, 1)")
     scene = load_scene(scene_dir)
     calib = load_scene_calib(scene_dir)
     cloud = fuse_early(scene.lidar, scene.virtual)

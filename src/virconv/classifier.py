@@ -76,11 +76,8 @@ def scene_to_dataset(scene: Scene, grid: VoxelGridSpec = CLASSIFIER_GRID,
     tensor = voxelize(scene.virtual, grid)
     rows = voxel_row_of_points(scene.virtual, tensor)
     kept = rows >= 0
-    noisy = np.zeros(tensor.n)
-    total = np.zeros(tensor.n)
-    np.add.at(noisy, rows[kept], scene.noise_labels[kept].astype(np.float64))
-    np.add.at(total, rows[kept], 1.0)
-    labels = noisy / total > 0.5
+    noisy = np.bincount(rows[kept], weights=scene.noise_labels[kept], minlength=tensor.n)
+    labels = noisy / np.bincount(rows[kept], minlength=tensor.n) > 0.5
     h2d = project_voxels(tensor, AugmentationRecord.identity(),
                          synthetic_calibration(), pixel_cell=pixel_cell)
     return VoxelDataset(tensor=tensor, h2d=h2d, labels=labels)
@@ -166,19 +163,10 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    # Average ranks over ties.
-    i = 0
-    rank_vals = np.arange(1, len(scores) + 1, dtype=np.float64)
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        rank_vals[i: j + 1] = (i + j + 2) / 2.0
-        i = j + 1
-    ranks[order] = rank_vals
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # A run of ties spans 1-based ranks last - count + 1 .. last; each gets the mean.
+    last = np.cumsum(counts)
+    ranks = (last - (counts - 1) / 2.0)[inverse]
     return (ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -29,8 +29,8 @@ from .geometry import (
 from .net import NetWeights, VirConvNetSpec, fuse_early, virconvnet_forward
 from .oracle import MIN_CHECKED_SHARE, gradcheck
 from .rng import SeededRng
-from .scene import SyntheticSceneSpec, generate_scene, load_scene, save_scene
-from .stvd import StvdConfig, bin_histogram, input_stvd
+from .scene import SyntheticSceneSpec, generate_scene, load_scene, parse_scene_spec, save_scene
+from .stvd import MODE_ALL, MODE_VIRTUAL_ONLY, StvdConfig, bin_histogram, input_stvd
 from .checkpoint import load_weights
 
 CSV_SCHEMA_VERSION = 1
@@ -47,11 +47,26 @@ def _tensor_checksum(tensor) -> str:
     return h.hexdigest()[:16]
 
 
+def _read_cloud(lidar_path, virtual_path):
+    """The LiDAR cloud, early-fused with the virtual cloud when one is given."""
+    lidar = read_velodyne_bin(lidar_path)
+    if virtual_path is None:
+        return lidar
+    return fuse_early(lidar, read_virtual_bin(virtual_path))
+
+
+def _write_text(path, text):
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as f:
+            f.write(text)
+
+
 def cmd_forward(args) -> int:
-    lidar = read_velodyne_bin(args.lidar)
-    virtual = read_virtual_bin(args.virtual) if args.virtual else None
+    cloud = _read_cloud(args.lidar, args.virtual)
     calib = parse_kitti_calib(args.calib)
-    cloud = fuse_early(lidar, virtual) if virtual is not None else lidar
     spec = VirConvNetSpec.default()
     if args.weights:
         weights = load_weights(args.weights, spec)
@@ -79,17 +94,12 @@ def cmd_forward(args) -> int:
             for i, t in enumerate(levels)
         ],
     }
-    text = json.dumps(summary, sort_keys=True, indent=1)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _write_text(args.out, json.dumps(summary, sort_keys=True, indent=1) + "\n")
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
         for i, t in enumerate(levels):
-            with open(os.path.join(args.dump_dir, f"level{i + 1}.json"), "w") as f:
-                json.dump(t.to_debug_dict(), f)
+            _write_text(os.path.join(args.dump_dir, f"level{i + 1}.json"),
+                        json.dumps(t.to_debug_dict()))
     return EXIT_OK
 
 
@@ -109,12 +119,7 @@ def cmd_bench_stvd(args) -> int:
             f"{r.scenario},{r.rate},{r.keep_per_bin},{r.voxels_before},"
             f"{r.voxels_after},{stage},{r.time_ms_median:.3f},{r.speedup:.4f}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.csv, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -128,11 +133,8 @@ def cmd_gradcheck(args) -> int:
     spec = VoxelGridSpec(origin=(0, 0, 0), voxel_size=(0.1, 0.1, 0.1), extent=extent)
     total = extent[0] * extent[1] * extent[2]
     n = max(1, int(0.3 * total))
-    flat = rng.gen.choice(total, size=n, replace=False)
-    idx = np.stack(
-        [flat // (extent[1] * extent[2]), (flat // extent[2]) % extent[1],
-         flat % extent[2]], axis=1,
-    )
+    idx = np.stack(np.unravel_index(rng.gen.choice(total, size=n, replace=False), extent),
+                   axis=1)
     c_in, c_out = 3, 4
     feats = rng.gen.normal(size=(n, c_in))
     tensor = SparseVoxelTensor(idx, feats, spec)
@@ -154,10 +156,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_synth(args) -> int:
     if args.spec:
         with open(args.spec) as f:
-            raw = json.load(f)
-        spec = SyntheticSceneSpec(**{
-            k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()
-        })
+            spec = parse_scene_spec(json.load(f))
     else:
         spec = SyntheticSceneSpec()
     scene = generate_scene(spec, SeededRng(args.seed))
@@ -174,9 +173,7 @@ def cmd_stvd_stats(args) -> int:
         scene = load_scene(args.scene)
         cloud = fuse_early(scene.lidar, scene.virtual)
     else:
-        lidar = read_velodyne_bin(args.lidar)
-        virtual = read_virtual_bin(args.virtual) if args.virtual else None
-        cloud = fuse_early(lidar, virtual) if virtual is not None else lidar
+        cloud = _read_cloud(args.lidar, args.virtual)
     cfg = StvdConfig(
         num_bins=args.bins,
         nearby_limit=args.nearby_limit,
@@ -205,19 +202,12 @@ def cmd_stvd_stats(args) -> int:
         lo = b * cfg.bin_width
         hi = (b + 1) * cfg.bin_width if b < cfg.num_bins else float("inf")
         lines.append(f"{b},{lo},{hi},{before_hist[b]},{after_hist[b]}")
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.csv, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_fuse(args) -> int:
-    lidar = read_velodyne_bin(args.lidar)
-    virtual = read_virtual_bin(args.virtual)
-    fused = fuse_early(lidar, virtual)
+    fused = _read_cloud(args.lidar, args.virtual)
     write_fused_bin(args.out, fused)
     print(f"{fused.n} points written to {args.out}")
     return EXIT_OK
@@ -264,12 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--scene")
     st.add_argument("--lidar")
     st.add_argument("--virtual")
-    st.add_argument("--bins", type=int, default=10)
-    st.add_argument("--nearby-limit", type=float, default=30.0)
-    st.add_argument("--keep-per-bin", type=int, default=1000)
-    st.add_argument("--bin-range", type=float, default=100.0)
-    st.add_argument("--mode", choices=["all_voxels", "virtual_only"],
-                    default="virtual_only")
+    cfg = StvdConfig()
+    st.add_argument("--bins", type=int, default=cfg.num_bins)
+    st.add_argument("--nearby-limit", type=float, default=cfg.nearby_limit)
+    st.add_argument("--keep-per-bin", type=int, default=cfg.keep_per_nearby_bin)
+    st.add_argument("--bin-range", type=float, default=cfg.bin_range)
+    st.add_argument("--mode", choices=[MODE_ALL, MODE_VIRTUAL_ONLY], default=cfg.mode)
     st.add_argument("--seed", type=int, default=0)
     st.add_argument("--csv")
     st.set_defaults(func=cmd_stvd_stats)

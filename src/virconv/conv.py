@@ -43,12 +43,12 @@ from .rng import SeededRng
 from .tensor import (
     OFFSETS_2D,
     OFFSETS_3D,
-    ORIGIN_LIDAR,
     ORIGIN_MIXED,
     ORIGIN_VIRTUAL,
     SparseVoxelTensor,
     VoxelGridSpec,
     key_rows,
+    origin_flags_of,
     padded_keys,
 )
 
@@ -110,7 +110,8 @@ class KernelWeights:
         if self.w3d.shape[2] != self.w2d.shape[2]:
             raise ValueError("3D and 2D branches must share the half width")
         if self.g_w3d is None:
-            self.zero_grads(allocate=True)
+            self.g_w3d, self.g_bias3d, self.g_w2d, self.g_bias2d = map(
+                np.zeros_like, (self.w3d, self.bias3d, self.w2d, self.bias2d))
 
     @property
     def c_in(self) -> int:
@@ -124,17 +125,9 @@ class KernelWeights:
     def c_out(self) -> int:
         return 2 * self.c_half
 
-    def zero_grads(self, allocate=False):
-        if allocate:
-            self.g_w3d = np.zeros_like(self.w3d)
-            self.g_bias3d = np.zeros_like(self.bias3d)
-            self.g_w2d = np.zeros_like(self.w2d)
-            self.g_bias2d = np.zeros_like(self.bias2d)
-        else:
-            self.g_w3d[:] = 0
-            self.g_bias3d[:] = 0
-            self.g_w2d[:] = 0
-            self.g_bias2d[:] = 0
+    def zero_grads(self):
+        for _, _, grad in self.params():
+            grad[:] = 0
 
     @classmethod
     def initialize(cls, c_in: int, c_out: int, rng: SeededRng) -> "KernelWeights":
@@ -171,15 +164,11 @@ class SpconvWeights:
         if self.w.shape[0] != 27:
             raise ValueError("w must stack 27 offsets")
         if self.g_w is None:
-            self.zero_grads(allocate=True)
+            self.g_w, self.g_bias = np.zeros_like(self.w), np.zeros_like(self.bias)
 
-    def zero_grads(self, allocate=False):
-        if allocate:
-            self.g_w = np.zeros_like(self.w)
-            self.g_bias = np.zeros_like(self.bias)
-        else:
-            self.g_w[:] = 0
-            self.g_bias[:] = 0
+    def zero_grads(self):
+        for _, _, grad in self.params():
+            grad[:] = 0
 
     @classmethod
     def initialize(cls, c_in: int, c_out: int, rng: SeededRng) -> "SpconvWeights":
@@ -423,10 +412,8 @@ def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,
         # A coarse voxel's flag is the mean provenance of its finest members.
         is_virtual = (tensor.origin_flags == ORIGIN_VIRTUAL) * 1.0
         is_virtual += (tensor.origin_flags == ORIGIN_MIXED) * 0.5
-        frac = (np.bincount(parent, weights=is_virtual, minlength=len(out_idx))
-                / np.bincount(parent, minlength=len(out_idx)))
-        flags = np.where(frac < 0.5, ORIGIN_LIDAR,
-                         np.where(frac > 0.5, ORIGIN_VIRTUAL, ORIGIN_MIXED)).astype(np.int8)
+        flags = origin_flags_of(np.bincount(parent, weights=is_virtual, minlength=len(out_idx))
+                                / np.bincount(parent, minlength=len(out_idx)))
     result = SparseVoxelTensor(out_idx, out, out_spec, flags, _validate=False)
     if ctx is not None:
         ctx.save(tensor=tensor, weights=weights, act=act, pre=pre, pairs=pairs)

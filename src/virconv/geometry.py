@@ -15,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    ORIGIN_LIDAR,
-    ORIGIN_MIXED,
-    ORIGIN_VIRTUAL,
     SparseVoxelTensor,
     VoxelGridSpec,
     inside_extent,
     key_rows,
+    origin_flags_of,
     padded_keys,
 )
 
@@ -143,18 +141,24 @@ def default_grid_spec() -> VoxelGridSpec:
     )
 
 
+def point_indices(cloud: SparsePointCloud, spec: VoxelGridSpec) -> np.ndarray:
+    """(N, 3) int64 voxel index of each point, floor((xyz - origin) / cell
+    size); points outside the extent get indices outside it."""
+    idx = cloud.xyz - np.asarray(spec.origin, dtype=np.float64)
+    idx /= spec.cell_size
+    np.floor(idx, out=idx)
+    return idx.astype(np.int64)
+
+
 def voxelize(cloud: SparsePointCloud, spec: VoxelGridSpec) -> SparseVoxelTensor:
     """Points into voxels: one row per occupied cell, per-voxel mean features.
 
     Points outside the spec's spatial range are silently dropped. Feature
     columns are the mean of [x, y, z, alpha, beta] over member points (C=5),
-    so the beta column is the virtual-point fraction; the origin flag follows
-    it (< 0.5 lidar, > 0.5 virtual, == 0.5 mixed).
+    so the beta column is the virtual-point fraction and sets the origin
+    flag (origin_flags_of).
     """
-    idx = cloud.xyz - np.asarray(spec.origin, dtype=np.float64)
-    idx /= spec.cell_size
-    np.floor(idx, out=idx)
-    idx = idx.astype(np.int64)
+    idx = point_indices(cloud, spec)
     # Cropped points share key -1, which sorts first and is dropped below.
     keys = padded_keys(idx, spec.extent)
     keys[~inside_extent(idx, spec.extent)] = -1
@@ -168,17 +172,12 @@ def voxelize(cloud: SparsePointCloud, spec: VoxelGridSpec) -> SparseVoxelTensor:
                                   minlength=len(uniq_keys))[drop:]
     feats /= counts[drop:, None]
     vox = key_rows(uniq_keys[drop:], spec.extent)
-    beta = feats[:, 4]
-    flags = np.where(beta < 0.5, ORIGIN_LIDAR,
-                     np.where(beta > 0.5, ORIGIN_VIRTUAL, ORIGIN_MIXED)).astype(np.int8)
-    return SparseVoxelTensor(vox, feats, spec, flags, _validate=False)
+    return SparseVoxelTensor(vox, feats, spec, origin_flags_of(feats[:, 4]), _validate=False)
 
 
 def voxel_row_of_points(cloud: SparsePointCloud, tensor: SparseVoxelTensor) -> np.ndarray:
     """Row position of each point's voxel in `tensor`, -1 for cropped points."""
-    origin = np.asarray(tensor.spec.origin, dtype=np.float64)
-    idx = np.floor((cloud.xyz - origin) / tensor.spec.cell_size).astype(np.int64)
-    return tensor.find_rows(idx)
+    return tensor.find_rows(point_indices(cloud, tensor.spec))
 
 
 def grid_points(tensor: SparseVoxelTensor) -> np.ndarray:

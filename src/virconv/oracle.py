@@ -173,25 +173,21 @@ def gradcheck(op: str, tensor, h2d, weights, act, rng, num_probes=100,
 
     feats = tensor.features.copy()
     arrays = {name: arr for name, arr, _ in weights.params()}
+    arrays["features"] = feats
 
     def loss_at(name, flat, value):
-        if name == "features":
-            base = feats.ravel()[flat]
-            feats.ravel()[flat] = value
-            out = forward(tensor.with_features(feats.copy()), h2d, weights, act).sum()
-            feats.ravel()[flat] = base
-            return out
         arr = arrays[name]
         base = arr.ravel()[flat]
         arr.ravel()[flat] = value
-        out = forward(tensor, h2d, weights, act).sum()
+        probed = tensor.with_features(feats.copy()) if name == "features" else tensor
+        out = forward(probed, h2d, weights, act).sum()
         arr.ravel()[flat] = base
         return out
 
     max_err, checked, skipped = 0.0, 0, 0
     for s in order:
         name, flat = slots[s]
-        base = (feats if name == "features" else arrays[name]).ravel()[flat]
+        base = arrays[name].ravel()[flat]
 
         f0 = loss_at(name, flat, base)
         f_plus = loss_at(name, flat, base + step)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .geometry import (
     Calibration,
+    FormatError,
     SparsePointCloud,
     parse_kitti_calib,
     read_velodyne_bin,
@@ -303,6 +304,36 @@ def save_scene(scene: Scene, out_dir):
         json.dump({"spec": asdict(scene.spec), "seed": scene.seed}, f)
 
 
+def parse_scene_spec(raw) -> SyntheticSceneSpec:
+    """SyntheticSceneSpec from a decoded JSON object; lists become tuples.
+
+    Raises FormatError unless raw is an object of spec fields whose values
+    are shaped like the fields' defaults, and ValueError on an out-of-range
+    value.
+    """
+    if not isinstance(raw, dict):
+        raise FormatError(f"scene spec must be a JSON object, got {type(raw).__name__}")
+    defaults = asdict(SyntheticSceneSpec())
+    for k, v in raw.items():
+        if k not in defaults:
+            raise FormatError(f"unknown scene spec key {k!r}")
+        if not _fits(v, defaults[k]):
+            raise FormatError(f"scene spec key {k!r} must be shaped like "
+                              f"{json.dumps(defaults[k])}")
+    return SyntheticSceneSpec(**{
+        k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()
+    })
+
+
+def _fits(value, default) -> bool:
+    """Whether a JSON value has the shape and number kinds of a field's default."""
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(_fits(x, d) for x, d in zip(value, default)))
+    number = int if isinstance(default, int) else (int, float)
+    return isinstance(value, number) and not isinstance(value, bool)
+
+
 def load_scene(scene_dir) -> Scene:
     lidar = read_velodyne_bin(os.path.join(scene_dir, "lidar.bin"))
     virtual = read_virtual_bin(os.path.join(scene_dir, "virtual.bin"))
@@ -310,9 +341,7 @@ def load_scene(scene_dir) -> Scene:
         labels = json.load(f)
     with open(os.path.join(scene_dir, "meta.json")) as f:
         meta = json.load(f)
-    spec = SyntheticSceneSpec(**{
-        k: tuple(v) if isinstance(v, list) else v for k, v in meta["spec"].items()
-    })
+    spec = parse_scene_spec(meta["spec"])
     boxes = [Box(center=tuple(b["center"]), size=tuple(b["size"])) for b in labels["boxes"]]
     return Scene(
         lidar=lidar,

@@ -66,29 +66,36 @@ def _planar_distance(tensor: SparseVoxelTensor) -> np.ndarray:
     return np.hypot(g[:, 0], g[:, 1])
 
 
-def input_stvd(tensor: SparseVoxelTensor, cfg: StvdConfig, rng: SeededRng) -> SparseVoxelTensor:
-    """Bin-based discard of nearby voxels.
+def discard_bins(tensor: SparseVoxelTensor, cfg: StvdConfig) -> np.ndarray:
+    """Distance bin of each row that input discard may drop, -1 for exempt rows.
 
-    Each nearby bin keeps at most cfg.keep_per_nearby_bin voxels, chosen
-    uniformly at random; distant and overflow bins are kept whole. In
-    virtual_only mode, LiDAR-origin voxels bypass the discard entirely and do
-    not count against bin budgets.
+    In virtual_only mode LiDAR-origin rows are exempt, and a tensor without
+    origin flags is rejected.
     """
-    if tensor.n == 0:
-        return tensor
+    bins = cfg.bin_of(_planar_distance(tensor))
     if cfg.mode == MODE_VIRTUAL_ONLY:
         if tensor.origin_flags is None:
             raise ValueError("virtual_only mode requires origin_flags on the tensor")
-        exempt = tensor.origin_flags == ORIGIN_LIDAR
-    else:
-        exempt = np.zeros(tensor.n, dtype=bool)
+        bins[tensor.origin_flags == ORIGIN_LIDAR] = -1
+    return bins
 
-    bins = cfg.bin_of(_planar_distance(tensor))
+
+def input_stvd(tensor: SparseVoxelTensor, cfg: StvdConfig, rng: SeededRng) -> SparseVoxelTensor:
+    """Bin-based discard of nearby voxels.
+
+    Each nearby bin keeps at most cfg.keep_per_nearby_bin of its discardable
+    voxels (discard_bins), chosen uniformly at random; distant and overflow
+    bins are kept whole. Exempt voxels bypass the discard entirely and do not
+    count against bin budgets.
+    """
+    if tensor.n == 0:
+        return tensor
+    bins = discard_bins(tensor, cfg)
     keep = np.ones(tensor.n, dtype=bool)
     for b in range(cfg.num_bins):
         if not cfg.is_nearby_bin(b):
             continue
-        members = np.flatnonzero((bins == b) & ~exempt)
+        members = np.flatnonzero(bins == b)
         if len(members) <= cfg.keep_per_nearby_bin:
             continue
         chosen = rng.gen.choice(members, size=cfg.keep_per_nearby_bin, replace=False)
@@ -115,8 +122,4 @@ def layer_stvd(tensor: SparseVoxelTensor, rate: float, rng: SeededRng,
 
 def bin_histogram(tensor: SparseVoxelTensor, cfg: StvdConfig) -> np.ndarray:
     """Voxel count per distance bin; the last entry is the overflow bin."""
-    counts = np.zeros(cfg.num_bins + 1, dtype=np.int64)
-    if tensor.n:
-        bins = cfg.bin_of(_planar_distance(tensor))
-        np.add.at(counts, bins, 1)
-    return counts
+    return np.bincount(cfg.bin_of(_planar_distance(tensor)), minlength=cfg.num_bins + 1)

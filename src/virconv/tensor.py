@@ -17,6 +17,14 @@ ORIGIN_LIDAR = 0
 ORIGIN_VIRTUAL = 1
 ORIGIN_MIXED = 2
 
+
+def origin_flags_of(virtual_frac) -> np.ndarray:
+    """Provenance flag per voxel from the virtual share of its points:
+    < 0.5 LiDAR, > 0.5 virtual, exactly 0.5 mixed."""
+    return np.where(virtual_frac < 0.5, ORIGIN_LIDAR,
+                    np.where(virtual_frac > 0.5, ORIGIN_VIRTUAL, ORIGIN_MIXED)).astype(np.int8)
+
+
 # 3x3x3 neighborhood offsets, lexicographic over (dz, dy, dx). Row k of a
 # 27-offset kernel stack corresponds to OFFSETS_3D[k]. Center is row 13.
 OFFSETS_3D = np.array(

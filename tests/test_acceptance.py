@@ -4,11 +4,8 @@ Each test prints a single PASS-style summary line with the measured value so
 a log reader can audit the margins.
 """
 
-import io
-import json
 import math
 import struct
-from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -20,7 +17,6 @@ from virconv import (
     NetWeights,
     NoiseClassifier,
     SeededRng,
-    SparsePointCloud,
     SparseVoxelTensor,
     SpconvWeights,
     StvdConfig,

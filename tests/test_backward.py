@@ -1,6 +1,5 @@
 """Analytic gradients against central finite differences."""
 
-import numpy as np
 import pytest
 
 from virconv import ActivationSpec, KernelWeights, SeededRng, SpconvWeights

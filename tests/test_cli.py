@@ -1,19 +1,15 @@
 """Command-line entry points: outputs, determinism hooks, and exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from virconv import SeededRng
 from virconv.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, main
-from virconv.geometry import read_fused_bin, write_kitti_calib, write_point_bin
-from virconv.scene import (
-    SyntheticSceneSpec,
-    generate_scene,
-    save_scene,
-    synthetic_calibration,
-)
+from virconv.geometry import read_fused_bin
+from virconv.scene import SyntheticSceneSpec, generate_scene, save_scene
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +105,33 @@ def test_bad_config_is_config_error(scene_dir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("raw", [{"foo": 1}, [1, 2], {"lidar_density": "dense"},
+                                 {"num_objects": 2.5}, {"x_range": [8.0]},
+                                 {"ground_z": None}, {"size_min": 3.0}])
+def test_malformed_scene_spec_is_parse_error(tmp_path, capsys, raw):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(raw))
+    assert run(["synth", "--spec", spec_file, "--out", tmp_path / "s"]) == EXIT_PARSE
+    assert "scene spec" in capsys.readouterr().err
+
+
+def test_out_of_range_scene_spec_is_config_error(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"boundary_noise_rate": 1.5}))
+    assert run(["synth", "--spec", spec_file, "--out", tmp_path / "s"]) == EXIT_CONFIG
+    assert "boundary_noise_rate" in capsys.readouterr().err
+
+
+def test_scene_meta_with_unknown_spec_key_is_parse_error(scene_dir, tmp_path, capsys):
+    bad = tmp_path / "scene"
+    shutil.copytree(scene_dir, bad)
+    meta = json.loads((bad / "meta.json").read_text())
+    meta["spec"]["foo"] = 1
+    (bad / "meta.json").write_text(json.dumps(meta))
+    assert run(["stvd-stats", "--scene", bad]) == EXIT_PARSE
+    assert "foo" in capsys.readouterr().err
+
+
 def test_stvd_stats_missing_inputs(capsys):
     assert run(["stvd-stats"]) == EXIT_PARSE
     capsys.readouterr()
@@ -173,6 +196,15 @@ def test_bench_stvd_csv(scene_dir, tmp_path):
     assert len(rows) == 2
     baseline = rows[0]
     assert float(baseline[1]) == 0.0 and float(baseline[-1]) == 1.0
+
+
+@pytest.mark.parametrize("rates", ["0,1.5", "0,1", "-0.1,0.5"])
+def test_bench_stvd_rejects_rates_outside_unit_interval(scene_dir, tmp_path, capsys, rates):
+    csv = tmp_path / "bench.csv"
+    assert run(["bench-stvd", "--scene", scene_dir, f"--sweep-rates={rates}",
+                "--csv", csv]) == EXIT_CONFIG
+    assert "[0, 1)" in capsys.readouterr().err
+    assert not csv.exists()
 
 
 def test_bench_stvd_rejects_low_repeats(scene_dir, capsys):

@@ -15,7 +15,13 @@ from virconv import (
     spconv_downsample,
     submanifold_conv3d,
 )
-from virconv.conv import IDENTITY, RELU
+from virconv.conv import (
+    IDENTITY,
+    RELU,
+    Ctx,
+    nrconv_backward,
+    spconv_downsample_backward,
+)
 from virconv.geometry import INVALID_2D
 from virconv.oracle import (
     dense_conv2d_branch,
@@ -23,6 +29,7 @@ from virconv.oracle import (
     dense_spconv_downsample,
     dense_submanifold_conv3d,
 )
+from virconv.tensor import ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL
 from conftest import random_h2d, random_tensor
 
 LEAKY = ActivationSpec("leaky_relu", 0.1)
@@ -55,6 +62,22 @@ def test_kernel_weight_shapes(rng):
         KernelWeights.initialize(5, 7, rng)   # odd widths cannot split
     sw = SpconvWeights.initialize(3, 6, rng)
     assert sw.w.shape == (27, 3, 6) and sw.bias.shape == (6,)
+
+
+def test_zero_grads_clears_every_gradient_params_returns(rng):
+    t = random_tensor(rng, c=3)
+    kw, sw = KernelWeights.initialize(3, 4, rng), SpconvWeights.initialize(3, 4, rng)
+    ctx = Ctx()
+    out = nrconv(t, random_h2d(rng, t.n), kw, LEAKY, ctx)
+    nrconv_backward(ctx, np.ones_like(out.features))
+    ctx = Ctx()
+    out = spconv_downsample(t, sw, LEAKY, ctx)
+    spconv_downsample_backward(ctx, np.ones_like(out.features))
+    for w in (kw, sw):
+        buffers = [g for _, _, g in w.params()]
+        assert all(g.any() for g in buffers)
+        w.zero_grads()
+        assert all(g is b and not g.any() for (_, _, g), b in zip(w.params(), buffers))
 
 
 def test_conv3d_matches_dense_reference():
@@ -110,12 +133,27 @@ def test_spconv_output_sites_and_spec(rng):
 
 
 def test_spconv_propagates_provenance():
-    spec = VoxelGridSpec(origin=(0, 0, 0), voxel_size=(1, 1, 1), extent=(4, 4, 4))
-    idx = [[0, 0, 0], [0, 0, 1], [2, 2, 2]]
-    flags = [0, 1, 1]   # coarse voxel 0: half virtual -> mixed; voxel 1: virtual
-    t = SparseVoxelTensor(idx, np.ones((3, 1)), spec, origin_flags=flags)
+    # Each coarse voxel's members count LiDAR 0, mixed 1/2 and virtual 1.
+    members = {
+        (0, 0, 0): [ORIGIN_MIXED],                                   # 1/2
+        (1, 0, 0): [ORIGIN_MIXED, ORIGIN_VIRTUAL],                   # 3/4
+        (2, 0, 0): [ORIGIN_MIXED, ORIGIN_LIDAR],                     # 1/4
+        (3, 0, 0): [ORIGIN_LIDAR, ORIGIN_VIRTUAL],                   # 1/2
+        (0, 1, 0): [ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL],     # 1/2
+        (1, 1, 0): [ORIGIN_LIDAR, ORIGIN_LIDAR, ORIGIN_VIRTUAL],     # 1/3
+    }
+    spec = VoxelGridSpec(origin=(0, 0, 0), voxel_size=(1, 1, 1), extent=(8, 4, 2))
+    idx, flags = [], []
+    for (x, y, z), fl in members.items():
+        for k, f in enumerate(fl):
+            idx.append((2 * x + k % 2, 2 * y + k // 2, 2 * z))
+            flags.append(f)
+    t = SparseVoxelTensor(idx, np.ones((len(idx), 1)), spec, origin_flags=flags)
     out = spconv_downsample(t, SpconvWeights.initialize(1, 1, SeededRng(0)))
-    assert list(out.origin_flags) == [2, 1]
+    got = {tuple(out.indices[i]): int(out.origin_flags[i]) for i in range(out.n)}
+    assert got == {(0, 0, 0): ORIGIN_MIXED, (1, 0, 0): ORIGIN_VIRTUAL,
+                   (2, 0, 0): ORIGIN_LIDAR, (3, 0, 0): ORIGIN_MIXED,
+                   (0, 1, 0): ORIGIN_MIXED, (1, 1, 0): ORIGIN_LIDAR}
 
 
 def test_invalid_projection_rows_get_empty_cell_output(rng):

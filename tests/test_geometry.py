@@ -26,6 +26,7 @@ from virconv.geometry import (
     INVALID_2D,
     MIN_CAMERA_DEPTH,
     FormatError,
+    point_indices,
     project_points_chain,
     read_fused_bin,
     read_velodyne_bin,
@@ -36,6 +37,7 @@ from virconv.geometry import (
     write_point_bin,
 )
 from virconv.scene import synthetic_calibration
+from virconv.tensor import ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL
 
 SMALL = VoxelGridSpec(origin=(0.0, -2.0, -1.0), voxel_size=(0.5, 0.5, 0.5),
                       extent=(8, 8, 4))
@@ -89,17 +91,14 @@ def test_voxelize_mean_matches_loop(rng):
         assert np.allclose(t.features[row], cloud.points[members].mean(axis=0))
 
 
-def test_voxelize_origin_flags(rng):
-    lidar = SparsePointCloud.from_xyz([[0.1, 0.1, 0.1]], alpha=[0.5], beta=0.0)
-    virt = SparsePointCloud.from_xyz([[1.1, 0.1, 0.1]], beta=1.0)
-    both = SparsePointCloud(np.vstack([
-        lidar.points, virt.points,
-        [[0.2, 0.1, 0.1, 0.0, 1.0]],   # shares the lidar point's voxel
-    ]))
-    t = voxelize(both, SMALL)
-    flags = {tuple(t.indices[i]): int(t.origin_flags[i]) for i in range(t.n)}
-    assert flags[(0, 4, 2)] == 2   # mixed: beta mean exactly 0.5
-    assert flags[(2, 4, 2)] == 1   # virtual
+def test_voxelize_origin_flags():
+    # Voxel x = 0, 1, 2 holds 2 of 5, 1 of 2 and 3 of 5 virtual points.
+    pts = [[0.1 + 0.5 * x, 0.1, 0.1, 0.0, float(v)]
+           for x, betas in enumerate([[0, 0, 0, 1, 1], [0, 1], [1, 1, 1, 0, 0]])
+           for v in betas]
+    t = voxelize(SparsePointCloud(np.array(pts)), SMALL)
+    assert list(t.indices[:, 0]) == [0, 1, 2]
+    assert list(t.origin_flags) == [ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL]
 
 
 def test_voxelize_drops_outside_points():
@@ -116,6 +115,7 @@ def test_voxel_row_of_points_roundtrip(rng):
     origin = np.asarray(SMALL.origin)
     idx = np.floor((cloud.xyz - origin) / SMALL.cell_size).astype(np.int64)
     assert np.array_equal(t.indices[rows], idx)
+    assert np.array_equal(point_indices(cloud, SMALL), idx)
 
 
 def test_grid_points_center_convention():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from virconv import ActivationSpec, KernelWeights, SeededRng, SparseVoxelTensor, VoxelGridSpec
+from virconv.classifier import roc_auc
 from virconv.conv import Ctx, conv2d_branch, conv2d_branch_backward
 from virconv.geometry import INVALID_2D, SparsePointCloud, voxelize
 from virconv.oracle import dense_conv2d_branch
@@ -158,3 +159,14 @@ def test_voxelize_matches_per_voxel_python_mean(case):
     beta = want[:, 4]
     assert t.origin_flags.tolist() == np.where(
         beta < 0.5, 0, np.where(beta > 0.5, 1, 2)).tolist()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=2, max_size=40)
+       .filter(lambda xs: len({y for _, y in xs}) == 2))
+def test_roc_auc_with_ties_matches_pairwise_count(samples):
+    scores = np.array([s for s, _ in samples], dtype=np.float64)
+    labels = np.array([y for _, y in samples])
+    pos, neg = scores[labels], scores[~labels]
+    wins = sum(float(p > q) + 0.5 * float(p == q) for p in pos for q in neg)
+    assert math.isclose(roc_auc(scores, labels), wins / (len(pos) * len(neg)), abs_tol=1e-12)

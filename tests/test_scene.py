@@ -6,10 +6,8 @@ import pytest
 from virconv import SeededRng
 from virconv.geometry import project_to_image
 from virconv.scene import (
-    BOUNDARY_BAND_PX,
     IMAGE_H,
     IMAGE_W,
-    Scene,
     SyntheticSceneSpec,
     _instance_map,
     generate_scene,

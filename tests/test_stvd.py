@@ -14,7 +14,8 @@ from virconv import (
     input_stvd,
     layer_stvd,
 )
-from virconv.tensor import ORIGIN_LIDAR, ORIGIN_VIRTUAL
+from virconv.bench import nearby_discardable_counts
+from virconv.tensor import ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL
 
 # A thin slab along +x: planar distance is dominated by the x index, so we
 # can place voxels in chosen distance bins directly.
@@ -91,6 +92,32 @@ def test_input_discard_requires_flags_in_virtual_only_mode():
     t = tensor_at_distances(np.full(5, 5.0))
     with pytest.raises(ValueError, match="origin_flags"):
         input_stvd(t, StvdConfig(), SeededRng(0))
+
+
+@pytest.mark.parametrize("mode", ["virtual_only", "all_voxels"])
+def test_nearby_discardable_counts_are_the_rows_input_discard_can_drop(mode):
+    keep = 20
+    cfg = StvdConfig(keep_per_nearby_bin=keep, mode=mode)
+    rng = SeededRng(4)
+    dists = rng.gen.uniform(0.0, 60.0, 400)
+    flags = rng.gen.choice([ORIGIN_LIDAR, ORIGIN_VIRTUAL, ORIGIN_MIXED], size=400)
+    t = tensor_at_distances(dists, flags=flags)
+    bins = cfg.bin_of(np.hypot(*(t.indices[:, :2] + 0.5).T * 0.1))
+    subject = flags != ORIGIN_LIDAR if mode == "virtual_only" else np.ones(400, bool)
+    nearby = [b for b in range(cfg.num_bins) if cfg.is_nearby_bin(b)]
+    expect = [int((subject & (bins == b)).sum()) for b in nearby]
+    assert nearby_discardable_counts(t, cfg) == expect
+    assert min(expect) > keep
+    dropped = bin_histogram(t, cfg) - bin_histogram(input_stvd(t, cfg, rng), cfg)
+    assert list(dropped[nearby]) == [c - keep for c in expect]
+    assert not dropped[len(nearby):].any()
+
+
+def test_nearby_discardable_counts_require_flags_in_virtual_only_mode():
+    t = tensor_at_distances(np.full(5, 5.0))
+    with pytest.raises(ValueError, match="origin_flags"):
+        nearby_discardable_counts(t, StvdConfig())
+    assert nearby_discardable_counts(t, StvdConfig(mode="all_voxels")) == [5, 0, 0]
 
 
 def test_input_discard_deterministic_and_order_preserving():
