@@ -19,14 +19,14 @@ branch reads its (output row, input row) pairs from the tensor's cached
 kernel map, built once per site set and shared by every layer of a block and
 by their backward passes. The 2D branch groups rows by cell with one stable
 sort of their cell keys and looks the cells up as the sites of a
-one-voxel-thick grid. The 3D branch, the 2D cell conv and the downsample
-all run one gather-matmul-scatter loop over their pair map, _pair_conv,
-and its backward, _pair_conv_backward. Per offset, every
-pair map here (3D, 2D cell, stride-2) is injective in both directions, so
-scatters are plain fancy-index accumulation. Where indices repeat, cells
-are contiguous segments of the sorted rows: pooling is np.maximum.reduceat,
-and sums run through np.bincount, which adds in row order as np.add.at
-would.
+one-voxel-thick grid; this cell map is cached per site set and h2d like the
+kernel map. The 3D branch, the 2D cell conv and the downsample all run one
+gather-matmul-scatter loop over their pair map, _pair_conv, and its
+backward, _pair_conv_backward. Per offset, every pair map here (3D, 2D
+cell, stride-2) is injective in both directions, so scatters are plain
+fancy-index accumulation. Within a cell, rows go in rank passes: the k-th
+members of all cells form pass k, where no cell repeats, so pooling, its
+argmax and the cell sums are one fancy-index update per pass, in row order.
 
 Backward passes are exact: pass a Ctx to a forward call, then call the
 matching *_backward with the upstream gradient. Weight gradients accumulate
@@ -245,16 +245,20 @@ def submanifold_conv3d_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
                                weights.g_w3d, weights.g_bias3d, gpre)
 
 
-def _group_cells(h2d: np.ndarray):
+def _group_cells(tensor: SparseVoxelTensor, h2d: np.ndarray):
     """Group the rows with a valid projection by 2D cell, with one stable sort.
 
-    Returns (valid mask, order, starts, seg, pairs). order lists the valid
-    rows sorted by cell, rows ascending within a cell; cell j spans
-    order[starts[j]:starts[j + 1]] and seg[i] is the cell of order[i]. Cells
-    are numbered in lexicographic (u, v) order. pairs holds, per OFFSETS_2D
-    entry, the (output cell, input cell) pairs over occupied cells, looked up
-    as the sites of a one-voxel-thick grid.
+    Returns (valid mask, first, passes, pairs). Cells are numbered in
+    lexicographic (u, v) order; first[j] is the first row of cell j, and
+    passes[k - 1] holds (rows, cells) for the (k+1)-th rows of the cells with
+    more than k rows. pairs holds, per OFFSETS_2D entry, the (output cell,
+    input cell) pairs over occupied cells, looked up as the sites of a
+    one-voxel-thick grid. The read-only result is cached on the tensor with a
+    private copy of h2d, and reused while h2d still equals that copy.
     """
+    cached = tensor._cell_map
+    if cached is not None and np.array_equal(cached[0], h2d):
+        return cached[1]
     valid = h2d[:, 0] != INVALID_2D
     rows = np.flatnonzero(valid)
     flat = np.zeros((len(rows), 3), np.int64)
@@ -265,15 +269,52 @@ def _group_cells(h2d: np.ndarray):
                          tuple(int(e) for e in flat.max(axis=0, initial=0) + 1))
     keys = padded_keys(flat, spec.extent)
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    cells = flat[order[starts]]
-    grid = SparseVoxelTensor(cells, np.zeros((len(cells), 0)), spec, _validate=False)
-    pairs = grid.pairs_at(cells, np.pad(OFFSETS_2D, ((0, 0), (0, 1))))
-    return valid, rows[order], starts, np.cumsum(new) - 1, pairs
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))   # keys are positive
+    uv = flat[order[starts]]
+    order = rows[order]
+    sizes = np.diff(starts, append=len(order))
+    passes = []
+    for k in range(1, sizes.max(initial=0)):
+        cells = np.flatnonzero(sizes > k)
+        passes.append((order[starts[cells] + k], cells))
+    grid = SparseVoxelTensor(uv, np.zeros((len(uv), 0)), spec, _validate=False)
+    pairs = grid.pairs_at(uv, np.pad(OFFSETS_2D, ((0, 0), (0, 1))))
+    first = order[starts]
+    h2d = h2d.copy()
+    for a in (h2d, valid, first, *(arr for pair in passes + pairs for arr in pair)):
+        a.setflags(write=False)
+    tensor._cell_map = (h2d, (valid, first, passes, pairs))
+    return tensor._cell_map[1]
+
+
+def _cell_max(X: np.ndarray, first, passes) -> np.ndarray:
+    """(M, C) per-cell channel max of the rows of X, one rank pass at a time."""
+    pooled = X[first]
+    for rows, cells in passes:
+        pooled[cells] = np.maximum(pooled[cells], X[rows])
+    return pooled
+
+
+def _cell_argmax(X: np.ndarray, pooled: np.ndarray, first, passes) -> np.ndarray:
+    """(M, C) row of the member that won each per-cell channel max. Passes
+    run last to first, each overwriting where its rows hold the max, so the
+    first max in row order wins (the tie rule) and every entry is written."""
+    winners = np.empty(pooled.shape, dtype=np.int64)
+    for rows, cells in reversed(passes):
+        won = winners[cells]
+        np.copyto(won, rows[:, None], where=X[rows] == pooled[cells])
+        winners[cells] = won
+    np.copyto(winners, first[:, None], where=X[first] == pooled)
+    return winners
+
+
+def _cell_sum(G: np.ndarray, first, passes) -> np.ndarray:
+    """(M, C) per-cell sum of the rows of G, added to 0.0 in row order as
+    np.bincount adds."""
+    total = 0.0 + G[first]
+    for rows, cells in passes:
+        total[cells] += G[rows]
+    return total
 
 
 def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
@@ -291,50 +332,27 @@ def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
         raise ValueError(
             f"feature width {tensor.width} does not match kernel C_in {weights.c_in}"
         )
-    X = tensor.features
-    valid, order, starts, seg, pairs = _group_cells(np.asarray(h2d, dtype=np.int64))
-    m = len(starts)
-    if m:
-        pooled = np.maximum.reduceat(X[order], starts, axis=0)
-    else:
-        pooled = np.zeros((0, tensor.width))
-    pre = _pair_conv(pooled, pairs, weights.w2d, weights.bias2d, m)
+    valid, first, passes, pairs = _group_cells(tensor, np.asarray(h2d, dtype=np.int64))
+    pooled = _cell_max(tensor.features, first, passes)
+    pre = _pair_conv(pooled, pairs, weights.w2d, weights.bias2d, len(first))
     cell_out = act.apply(pre)
     out = np.empty((tensor.n, weights.c_half))
-    empty_pre = weights.bias2d[None, :]
-    out[~valid] = act.apply(empty_pre)
-    out[order] = cell_out[seg]
+    out[~valid] = act.apply(weights.bias2d[None, :])
+    out[first] = cell_out
+    for rows, cells in passes:
+        out[rows] = cell_out[cells]
     if ctx is not None:
-        ctx.save(tensor=tensor, weights=weights, act=act,
-                 valid=valid, order=order, starts=starts, pooled=pooled,
-                 pre=pre, pairs=pairs)
+        ctx.save(tensor=tensor, weights=weights, act=act, valid=valid,
+                 first=first, passes=passes, pooled=pooled, pre=pre, pairs=pairs)
     return out
-
-
-def _pool_winners(Xs: np.ndarray, pooled: np.ndarray, starts: np.ndarray,
-                  seg: np.ndarray) -> np.ndarray:
-    """Position in Xs of the member that won each per-cell channel max.
-
-    Xs holds the valid rows sorted by cell with a stable sort, so members
-    keep their row order within a cell and the lowest winning position is
-    the first max in row order: the tie rule. Returns an (M, C) int array.
-    """
-    n, c = Xs.shape
-    winners = np.empty((len(starts), c), dtype=np.int64)
-    pos = np.arange(n)
-    for ch in range(c):
-        hit = np.where(Xs[:, ch] == pooled[seg, ch], pos, n)
-        winners[:, ch] = np.minimum.reduceat(hit, starts)
-    return winners
 
 
 def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     d = ctx.require("conv2d_branch")
     tensor, weights, act = d["tensor"], d["weights"], d["act"]
-    valid, order, starts, pooled = d["valid"], d["order"], d["starts"], d["pooled"]
+    valid, first, passes, pooled = d["valid"], d["first"], d["passes"], d["pooled"]
     X = tensor.features
     gX = np.zeros_like(X)
-    m = len(pooled)
 
     # Invalid-projection rows saw act(bias) only.
     g_invalid = grad_out[~valid]
@@ -342,25 +360,17 @@ def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
         weights.g_bias2d += (
             g_invalid * act.deriv(weights.bias2d[None, :])
         ).sum(axis=0)
-    if m == 0:
+    if len(first) == 0:
         return gX
 
-    # Cell output gradient is the sum over member voxels; bincount adds in
-    # row order, as np.add.at would. seg is rebuilt rather than kept in the
-    # Ctx, where it would stay alive until backward.
-    seg = np.repeat(np.arange(m), np.diff(starts, append=len(order)))
-    g_members = grad_out[order]
-    g_cell = np.empty((m, weights.c_half))
-    for ch in range(weights.c_half):
-        g_cell[:, ch] = np.bincount(seg, weights=g_members[:, ch], minlength=m)
-    gpre = g_cell * act.deriv(d["pre"])
+    # The cell output gradient is the sum over member voxels.
+    gpre = _cell_sum(grad_out, first, passes) * act.deriv(d["pre"])
     g_pooled = _pair_conv_backward(pooled, d["pairs"], weights.w2d, weights.g_w2d,
                                    weights.g_bias2d, gpre)
 
     # Route pooled gradients to the argmax member per (cell, channel). A row
     # belongs to one cell, so no (row, channel) target repeats.
-    winners = _pool_winners(X[order], pooled, starts, seg)
-    gX[order[winners], np.arange(X.shape[1])] += g_pooled
+    gX[_cell_argmax(X, pooled, first, passes), np.arange(X.shape[1])] += g_pooled
     return gX
 
 

@@ -51,6 +51,14 @@ class SyntheticSceneSpec:
             raise ValueError("densities must be positive")
         if not (0.0 <= self.boundary_noise_rate <= 1.0):
             raise ValueError("boundary_noise_rate must lie in [0, 1]")
+        for name in ("num_objects", "noise_magnitude"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        for name in ("x_range", "y_range"):
+            if not getattr(self, name)[0] < getattr(self, name)[1]:
+                raise ValueError(f"{name} must be (lo, hi) with lo < hi")
+        if min(self.size_min) <= 0 or any(a > b for a, b in zip(self.size_min, self.size_max)):
+            raise ValueError("size_min must be positive and at most size_max per axis")
 
 
 @dataclass
@@ -341,16 +349,17 @@ def load_scene(scene_dir) -> Scene:
         labels = json.load(f)
     with open(os.path.join(scene_dir, "meta.json")) as f:
         meta = json.load(f)
-    spec = parse_scene_spec(meta["spec"])
-    boxes = [Box(center=tuple(b["center"]), size=tuple(b["size"])) for b in labels["boxes"]]
-    return Scene(
-        lidar=lidar,
-        virtual=virtual,
-        noise_labels=np.array(labels["noise"], dtype=bool),
-        boxes=boxes,
-        spec=spec,
-        seed=meta["seed"],
-    )
+    try:
+        spec, seed = parse_scene_spec(meta["spec"]), meta["seed"]
+    except KeyError as e:
+        raise FormatError(f"{scene_dir}: meta.json has no key {e}") from None
+    try:
+        noise = np.array(labels["noise"], dtype=bool)
+        boxes = [Box(center=tuple(b["center"]), size=tuple(b["size"])) for b in labels["boxes"]]
+    except KeyError as e:
+        raise FormatError(f"{scene_dir}: labels.json has no key {e}") from None
+    return Scene(lidar=lidar, virtual=virtual, noise_labels=noise, boxes=boxes,
+                 spec=spec, seed=seed)
 
 
 def load_scene_calib(scene_dir) -> Calibration:

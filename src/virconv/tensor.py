@@ -132,9 +132,10 @@ class SparseVoxelTensor:
 
     Neighbours are found on sorted padded_keys: a query row is keyed once,
     and each kernel offset is one scalar add and one searchsorted. These
-    lookup structures (sorted keys, the 27-offset kernel map) are built
-    lazily, once per site set: `with_features` shares them, while
-    `take_rows` and every new tensor start without.
+    lookup structures (sorted keys, the 27-offset kernel map searched over
+    14 offsets, conv's 2D cell map per h2d) are built lazily, once per site
+    set: `with_features` shares them, while `take_rows` and every new tensor
+    start without.
     """
 
     def __init__(self, indices, features, spec, origin_flags=None, _validate=True):
@@ -156,6 +157,7 @@ class SparseVoxelTensor:
             origin_flags.setflags(write=False)
         self._sorted = None
         self._kernel_map = None
+        self._cell_map = None   # (read-only copy of h2d, grouping), set by conv
 
     @property
     def n(self) -> int:
@@ -234,10 +236,17 @@ class SparseVoxelTensor:
         """Submanifold 3x3x3 kernel map: per OFFSETS_3D[k], the (out rows,
         in rows) with indices[in] == indices[out] + OFFSETS_3D[k].
 
-        Built once per site set and cached; the arrays are read-only.
+        Built once per site set and cached; the arrays are read-only. Only
+        offsets 0..13 are searched: OFFSETS_3D[26 - k] == -OFFSETS_3D[k], so
+        pair 26 - k is pair k swapped, re-sorted if its out rows do not ascend.
         """
         if self._kernel_map is None:
-            pairs = self.pairs_at(self.indices, OFFSETS_3D)
+            pairs = self.pairs_at(self.indices, OFFSETS_3D[:CENTER_3D + 1])
+            for out_rows, in_rows in pairs[CENTER_3D - 1::-1]:
+                if np.any(in_rows[1:] < in_rows[:-1]):
+                    by_in = np.argsort(in_rows, kind="stable")
+                    in_rows, out_rows = in_rows[by_in], out_rows[by_in]
+                pairs.append((in_rows, out_rows))
             for out_rows, in_rows in pairs:
                 out_rows.setflags(write=False)
                 in_rows.setflags(write=False)
@@ -255,8 +264,8 @@ class SparseVoxelTensor:
             raise ValueError("features must be finite")
         flags = self.origin_flags if origin_flags == "keep" else origin_flags
         out = SparseVoxelTensor(self.indices, features, self.spec, flags, _validate=False)
-        out._sorted = self._sorted
-        out._kernel_map = self._kernel_map
+        out._sorted, out._kernel_map, out._cell_map = (
+            self._sorted, self._kernel_map, self._cell_map)
         return out
 
     def take_rows(self, rows) -> "SparseVoxelTensor":

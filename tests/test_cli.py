@@ -122,6 +122,43 @@ def test_out_of_range_scene_spec_is_config_error(tmp_path, capsys):
     assert "boundary_noise_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw, field", [
+    ({"num_objects": -1}, "num_objects"), ({"noise_magnitude": -0.5}, "noise_magnitude"),
+    ({"x_range": [50.0, 8.0]}, "x_range"), ({"y_range": [3.0, 3.0]}, "y_range"),
+    ({"size_min": [0.0, 1.5, 1.3]}, "size_min"),
+    ({"size_min": [5.0, 1.5, 1.3]}, "size_max")])
+def test_scene_spec_range_errors_are_config_errors(tmp_path, capsys, raw, field):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(raw))
+    assert run(["synth", "--spec", spec_file, "--out", tmp_path / "s"]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_scene_spec_range_limits_are_accepted():
+    spec = SyntheticSceneSpec(num_objects=0, noise_magnitude=0.0, x_range=(8.0, 8.5),
+                              size_min=(2.0, 1.0, 1.0), size_max=(2.0, 1.0, 1.0))
+    assert generate_scene(spec, SeededRng(0)).boxes == []
+
+
+@pytest.mark.parametrize("name, path", [
+    ("meta.json", ["spec"]), ("meta.json", ["seed"]),
+    ("labels.json", ["noise"]), ("labels.json", ["boxes"]),
+    ("labels.json", ["boxes", 1, "center"]), ("labels.json", ["boxes", 0, "size"])])
+def test_scene_json_missing_a_key_is_parse_error(scene_dir, tmp_path, capsys, name, path):
+    bad = tmp_path / "scene"
+    shutil.copytree(scene_dir, bad)
+    doc = json.loads((bad / name).read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    (bad / name).write_text(json.dumps(doc))
+    assert run(["stvd-stats", "--scene", bad]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert name in err and repr(path[-1]) in err
+
+
 def test_scene_meta_with_unknown_spec_key_is_parse_error(scene_dir, tmp_path, capsys):
     bad = tmp_path / "scene"
     shutil.copytree(scene_dir, bad)

@@ -1,5 +1,7 @@
-"""The cached submanifold kernel map and the injectivity that lets the convs
-scatter without np.add.at."""
+"""The cached submanifold kernel map and 2D cell map, and the injectivity
+that lets the convs scatter without np.add.at."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,13 +13,18 @@ from virconv import (
     SeededRng,
     SpconvWeights,
     SparseVoxelTensor,
+    StvdConfig,
+    VirConvNetSpec,
     VoxelGridSpec,
     conv2d_branch,
     layer_stvd,
     nrconv,
     spconv_downsample,
 )
-from virconv.conv import RELU, Ctx, nrconv_backward
+from virconv.conv import RELU, Ctx, conv2d_branch_backward, nrconv_backward
+from virconv.geometry import INVALID_2D, AugmentationRecord
+from virconv.net import NetWeights, fuse_early, make_h2d_provider, virconvnet_forward
+from virconv.scene import SyntheticSceneSpec, generate_scene, synthetic_calibration
 from virconv.tensor import OFFSETS_3D
 from conftest import random_h2d, random_tensor
 
@@ -132,3 +139,130 @@ def test_kernel_map_shared_per_site_set_and_read_only(rng):
         for arr in (out_rows, in_rows):
             with pytest.raises(ValueError):
                 arr[...] = 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=site_sets(), order=st.sampled_from(["drawn", "key", "reversed key"]))
+def test_kernel_map_mirrors_the_searched_half_on_any_row_order(case, order):
+    extent, sites = case
+    spec = VoxelGridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extent=extent)
+    if order != "drawn":
+        sites = sorted(sites, reverse=order == "reversed key")
+    idx = np.array(sites, np.int64).reshape(-1, 3)
+    kmap = SparseVoxelTensor(idx, np.zeros((len(idx), 1)), spec).kernel_map()
+    assert_pairs_equal(kmap, brute_pairs(sites, idx, OFFSETS_3D))
+    for k in range(27):
+        out_rows, in_rows = kmap[26 - k]
+        assert np.all(np.diff(out_rows) > 0)
+        assert (set(zip(out_rows.tolist(), in_rows.tolist()))
+                == set(zip(kmap[k][1].tolist(), kmap[k][0].tolist())))
+
+
+def test_kernel_map_searches_fourteen_offsets(rng, monkeypatch):
+    searches = []
+    locate = SparseVoxelTensor._locate
+    monkeypatch.setattr(SparseVoxelTensor, "_locate",
+                        lambda self, keys: searches.append(len(keys)) or locate(self, keys))
+    t = random_tensor(rng)
+    t.kernel_map()
+    assert searches == [t.n] * 14
+
+
+def test_nrconv_chain_groups_cells_once(rng):
+    t = random_tensor(rng, c=4)
+    h2d = random_h2d(rng, t.n)
+    ctxs = [Ctx(), Ctx()]
+    mid = nrconv(t, h2d, KernelWeights.initialize(4, 4, rng), RELU, ctxs[0])
+    out = nrconv(mid, h2d.copy(), KernelWeights.initialize(4, 4, rng), RELU, ctxs[1])
+    nrconv_backward(ctxs[0], nrconv_backward(ctxs[1], np.ones((t.n, 4))))
+    first, second = (ctx.data["ctx2"].data for ctx in ctxs)
+    for key in ("valid", "first", "passes", "pairs"):
+        assert second[key] is first[key]
+    assert mid._cell_map is t._cell_map and out._cell_map is t._cell_map
+    assert not np.shares_memory(t._cell_map[0], h2d)
+    with pytest.raises(ValueError):
+        first["first"][0] = 0
+
+
+def test_cell_map_follows_h2d_changes(rng):
+    t = random_tensor(rng, c=3)
+    kw = KernelWeights.initialize(3, 4, rng)
+    grad = rng.gen.normal(size=(t.n, 2))
+
+    def run(tensor, h2d):
+        ctx = Ctx()
+        out = conv2d_branch(tensor, h2d, kw, RELU, ctx)
+        return out, conv2d_branch_backward(ctx, grad)
+
+    def check(h2d):
+        """Forward and input gradient on t equal those on the same rows of a
+        tensor with no cached cell map."""
+        got, want = run(t, h2d), run(t.take_rows(np.arange(t.n)), h2d)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        return got[0]
+
+    h2d = random_h2d(rng, t.n, span=3)
+    before = check(h2d)
+    h2d[::2] = h2d[::2][::-1].copy()             # same array, new cells
+    h2d[1] = INVALID_2D
+    assert not np.array_equal(check(h2d), before)
+    other = random_h2d(rng, t.n, span=4)          # another array on the same tensor
+    assert not np.array_equal(check(other), before)
+    check(h2d)
+
+
+def test_take_rows_and_downsample_start_without_a_cell_map(rng):
+    t = random_tensor(rng, c=4)
+    conv2d_branch(t, random_h2d(rng, t.n), KernelWeights.initialize(4, 4, rng))
+    assert t._cell_map is not None
+    assert t.with_features(np.zeros((t.n, 1)))._cell_map is t._cell_map
+    for other in (t.take_rows(np.arange(t.n)),
+                  layer_stvd(t, 0.5, SeededRng(0), training=True),
+                  spconv_downsample(t, SpconvWeights.initialize(4, 4, rng))):
+        assert other._cell_map is None
+
+
+def _training_digest() -> str:
+    """SHA-256 of a small scene's training forward through all four blocks,
+    then of a two-layer nrconv chain on its level-1 output, forward and
+    backward, with every parameter and input gradient of the chain."""
+    spec = SyntheticSceneSpec(num_objects=2, x_range=(8.0, 20.0), y_range=(-6.0, 6.0))
+    scene = generate_scene(spec, SeededRng(5))
+    net = VirConvNetSpec.default()
+    weights = NetWeights.initialize(net, SeededRng(1))
+    calib, record = synthetic_calibration(), AugmentationRecord.identity()
+    levels = virconvnet_forward(fuse_early(scene.lidar, scene.virtual), net, StvdConfig(),
+                                calib, record, weights, SeededRng(2), training=True)
+    digest = hashlib.sha256()
+    for level in levels:
+        digest.update(level.indices.tobytes() + level.features.tobytes())
+    tensor = levels[0]
+    h2d = make_h2d_provider(calib, record)(tensor)
+    layers = weights.blocks[1].nrconvs
+    ctxs = [Ctx() for _ in layers]
+    for kw, ctx in zip(layers, ctxs):
+        tensor = nrconv(tensor, h2d, kw, RELU, ctx)
+    digest.update(tensor.features.tobytes())
+    grad = np.cos(np.arange(tensor.features.size)).reshape(tensor.features.shape)
+    for ctx in reversed(ctxs):
+        grad = nrconv_backward(ctx, grad)
+    digest.update(grad.tobytes())
+    for kw in layers:
+        for _, _, g in kw.params():
+            digest.update(g.tobytes())
+    return digest.hexdigest()
+
+
+def test_training_digest_is_stable_and_matches_an_uncached_run(monkeypatch):
+    cached = _training_digest()
+    assert _training_digest() == cached
+    with_features = SparseVoxelTensor.with_features
+
+    def uncached(self, *args, **kwargs):
+        out = with_features(self, *args, **kwargs)
+        out._sorted = out._kernel_map = out._cell_map = None
+        return out
+
+    monkeypatch.setattr(SparseVoxelTensor, "with_features", uncached)
+    assert _training_digest() == cached

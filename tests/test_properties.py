@@ -1,6 +1,7 @@
 """Property tests of the fixed-cost paths against brute force: per-cell
-pooling and its gradient routing under many ties, find_rows on queries
-outside the extent, and voxelize with points cropped on every face."""
+pooling and its gradient routing under many ties, the rank passes against
+segment reductions, find_rows on queries outside the extent, and voxelize
+with points cropped on every face."""
 
 import math
 
@@ -10,7 +11,15 @@ from hypothesis import strategies as st
 
 from virconv import ActivationSpec, KernelWeights, SeededRng, SparseVoxelTensor, VoxelGridSpec
 from virconv.classifier import roc_auc
-from virconv.conv import Ctx, conv2d_branch, conv2d_branch_backward
+from virconv.conv import (
+    Ctx,
+    _cell_argmax,
+    _cell_max,
+    _cell_sum,
+    _group_cells,
+    conv2d_branch,
+    conv2d_branch_backward,
+)
 from virconv.geometry import INVALID_2D, SparsePointCloud, voxelize
 from virconv.oracle import dense_conv2d_branch
 
@@ -32,6 +41,15 @@ def tied_cells(draw):
     h2d = draw(st.lists(cell, min_size=n, max_size=n))
     return (np.array(feats, np.float64).reshape(n, c),
             np.array(h2d, np.int64).reshape(n, 2))
+
+
+def row_tensor(X):
+    """Tensor whose row i sits at site (i, 0, 0)."""
+    n = len(X)
+    spec = VoxelGridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0),
+                         extent=(max(n, 1), 1, 1))
+    return SparseVoxelTensor(np.stack([np.arange(n), np.zeros(n), np.zeros(n)], axis=1),
+                             X, spec)
 
 
 def brute_conv2d_input_grad(X, h2d, w, act, grad_out):
@@ -66,10 +84,7 @@ def test_pool_winners_and_pooled_gradients_take_first_max_in_row_order(case, see
     X, h2d = case
     rng = SeededRng(seed)
     n, c = X.shape
-    spec = VoxelGridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0),
-                         extent=(max(n, 1), 1, 1))
-    t = SparseVoxelTensor(np.stack([np.arange(n), np.zeros(n), np.zeros(n)], axis=1),
-                          X, spec)
+    t = row_tensor(X)
     w = KernelWeights.initialize(c, 4, rng)
     grad_out = rng.gen.normal(size=(n, 2))
     ctx = Ctx()
@@ -78,6 +93,61 @@ def test_pool_winners_and_pooled_gradients_take_first_max_in_row_order(case, see
     got = conv2d_branch_backward(ctx, grad_out)
     want = brute_conv2d_input_grad(X, h2d, w, LEAKY, grad_out)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def segment_reference(X, G, h2d):
+    """(first row, pooled, winner rows, sums) per cell, with the valid rows
+    stably sorted by (u, v) so that each cell is one segment: pooling by
+    np.maximum.reduceat, winners by a masked np.minimum.reduceat per channel,
+    sums by np.bincount per channel."""
+    rows = np.flatnonzero(h2d[:, 0] != INVALID_2D)
+    order = rows[np.lexsort((h2d[rows, 1], h2d[rows, 0]))]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (h2d[order][1:] != h2d[order][:-1]).any(axis=1)
+    starts, seg = np.flatnonzero(new), np.cumsum(new) - 1
+    m, c = len(starts), X.shape[1]
+    if m == 0:
+        return order, np.zeros((0, c)), np.zeros((0, c), np.int64), np.zeros((0, c))
+    Xs = X[order]
+    pooled = np.maximum.reduceat(Xs, starts, axis=0)
+    winners = np.empty((m, c), dtype=np.int64)
+    pos = np.arange(len(order))
+    for ch in range(c):
+        hit = np.where(Xs[:, ch] == pooled[seg, ch], pos, len(order))
+        winners[:, ch] = order[np.minimum.reduceat(hit, starts)]
+    sums = np.stack([np.bincount(seg, weights=G[order, ch], minlength=m)
+                     for ch in range(c)], axis=1)
+    return order[starts], pooled, winners, sums
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=tied_cells(), all_invalid=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_rank_passes_match_segment_reductions_bit_for_bit(case, all_invalid, seed):
+    X, h2d = case
+    if all_invalid:
+        h2d[:] = INVALID_2D
+    rng = np.random.default_rng(seed)
+    X[(X == 0) & (rng.random(X.shape) < 0.5)] = -0.0   # signed zeros tie with 0.0
+    G = rng.choice([-1.5, -0.0, 0.0, 0.25, 1.0], size=X.shape)
+    valid, first, passes, _ = _group_cells(row_tensor(X), h2d)
+
+    assert np.array_equal(valid, h2d[:, 0] != INVALID_2D)
+    members = np.concatenate([first, *(rows for rows, _ in passes)])
+    assert np.array_equal(np.sort(members), np.flatnonzero(valid))
+    for rows, cells in passes:
+        assert np.all(np.diff(cells) > 0)
+        assert np.all(rows > first[cells])
+    want_first, pooled, winners, sums = segment_reference(X, G, h2d)
+    assert_same_bits(first, want_first)
+    got_pooled = _cell_max(X, first, passes)
+    assert_same_bits(got_pooled, pooled)
+    assert_same_bits(_cell_argmax(X, got_pooled, first, passes), winners)
+    assert_same_bits(_cell_sum(G, first, passes), sums)
 
 
 @st.composite
