@@ -11,6 +11,7 @@ import struct
 
 import numpy as np
 
+from .geometry import FormatError
 from .net import NetWeights, VirConvNetSpec
 from .rng import SeededRng
 
@@ -37,9 +38,19 @@ def save_weights(path, weights: NetWeights):
 
 
 def load_weights(path, spec: VirConvNetSpec) -> NetWeights:
+    """Weights of `spec` from a checkpoint.
+
+    Raises FormatError on a malformed manifest or an entry outside the blob,
+    and ValueError unless the checkpoint holds each parameter of `spec`
+    exactly once, with its shape.
+    """
     weights = NetWeights.initialize(spec, SeededRng(0))
     with open(str(path) + ".json") as f:
         manifest = json.load(f)
+    if not (isinstance(manifest, dict) and "version" in manifest
+            and isinstance(manifest.get("params"), list)):
+        raise FormatError(f"{path}.json: manifest must be an object with "
+                          f"a version and a params list")
     if manifest["version"] != VERSION:
         raise ValueError(f"unsupported checkpoint version {manifest['version']}")
     with open(path, "rb") as f:
@@ -47,18 +58,31 @@ def load_weights(path, spec: VirConvNetSpec) -> NetWeights:
     if blob[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic")
     by_name = {name: arr for name, arr, _ in weights.params()}
+    loaded = set()
     for entry in manifest["params"]:
-        arr = by_name.get(entry["name"])
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and "shape" in entry and "offset" in entry):
+            raise FormatError(f"{path}.json: each params entry needs a name, "
+                              f"a shape and an offset")
+        name, offset = entry["name"], entry["offset"]
+        arr = by_name.get(name)
         if arr is None:
-            raise ValueError(f"checkpoint parameter {entry['name']} not in net spec")
+            raise ValueError(f"checkpoint parameter {name} not in net spec")
+        if name in loaded:
+            raise ValueError(f"checkpoint repeats parameter {name}")
+        loaded.add(name)
         if list(arr.shape) != entry["shape"]:
             raise ValueError(
                 f"checkpoint shape {entry['shape']} != expected {list(arr.shape)} "
-                f"for {entry['name']}"
+                f"for {name}"
             )
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        data = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=entry["offset"]
-        ).reshape(entry["shape"])
-        arr[...] = data
+        if not (isinstance(offset, int) and 0 <= offset <= len(blob) - arr.nbytes):
+            raise FormatError(f"{path}: parameter {name} at byte offset {offset!r} "
+                              f"does not fit in the {len(blob)}-byte file")
+        arr[...] = np.frombuffer(blob, dtype="<f8", count=arr.size,
+                                 offset=offset).reshape(arr.shape)
+    missing = [name for name in by_name if name not in loaded]
+    if missing:
+        raise ValueError(f"checkpoint lacks {len(missing)} parameters of the "
+                         f"net spec, the first is {missing[0]}")
     return weights

@@ -14,15 +14,15 @@ Three forward operators:
 Plus spconv_downsample, a kernel-3 / stride-2 / padding-1 sparse convolution
 whose output sites are the halved input sites.
 
-Every neighbour search goes through SparseVoxelTensor.pairs_at. The 3D
-branch reads its (output row, input row) pairs from the tensor's cached
-kernel map, built once per site set and shared by every layer of a block and
-by their backward passes. The 2D branch groups rows by cell with one stable
-sort of their cell keys and looks the cells up as the sites of a
-one-voxel-thick grid; this cell map is cached per site set and h2d like the
-kernel map. The 3D branch, the 2D cell conv and the downsample all run one
-gather-matmul-scatter loop over their pair map, _pair_conv, and its
-backward, _pair_conv_backward. Per offset, every pair map here (3D, 2D
+This module holds only the arithmetic: every site lookup belongs to
+SparseVoxelTensor. The 3D branch reads its (output row, input row) pairs
+from tensor.kernel_map(), and the 2D branch its grouping of rows by pixel
+cell and its cell pairs from tensor.cell_map(h2d). Both maps are cached per
+site set (and h2d), so every layer of a block and their backward passes
+share one of each. The downsample searches its pairs with
+tensor.pairs_at. The 3D branch, the 2D cell conv and the downsample all
+run one gather-matmul-scatter loop over their pair map, _pair_conv, and
+its backward, _pair_conv_backward. Per offset, every pair map here (3D, 2D
 cell, stride-2) is injective in both directions, so scatters are plain
 fancy-index accumulation. Within a cell, rows go in rank passes: the k-th
 members of all cells form pass k, where no cell repeats, so pooling, its
@@ -38,15 +38,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import INVALID_2D
 from .rng import SeededRng
 from .tensor import (
-    OFFSETS_2D,
     OFFSETS_3D,
     ORIGIN_MIXED,
     ORIGIN_VIRTUAL,
     SparseVoxelTensor,
-    VoxelGridSpec,
     key_rows,
     origin_flags_of,
     padded_keys,
@@ -245,48 +242,6 @@ def submanifold_conv3d_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
                                weights.g_w3d, weights.g_bias3d, gpre)
 
 
-def _group_cells(tensor: SparseVoxelTensor, h2d: np.ndarray):
-    """Group the rows with a valid projection by 2D cell, with one stable sort.
-
-    Returns (valid mask, first, passes, pairs). Cells are numbered in
-    lexicographic (u, v) order; first[j] is the first row of cell j, and
-    passes[k - 1] holds (rows, cells) for the (k+1)-th rows of the cells with
-    more than k rows. pairs holds, per OFFSETS_2D entry, the (output cell,
-    input cell) pairs over occupied cells, looked up as the sites of a
-    one-voxel-thick grid. The read-only result is cached on the tensor with a
-    private copy of h2d, and reused while h2d still equals that copy.
-    """
-    cached = tensor._cell_map
-    if cached is not None and np.array_equal(cached[0], h2d):
-        return cached[1]
-    valid = h2d[:, 0] != INVALID_2D
-    rows = np.flatnonzero(valid)
-    flat = np.zeros((len(rows), 3), np.int64)
-    if len(rows):
-        flat[:, :2] = h2d[rows]
-        flat[:, :2] -= flat[:, :2].min(axis=0)
-    spec = VoxelGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
-                         tuple(int(e) for e in flat.max(axis=0, initial=0) + 1))
-    keys = padded_keys(flat, spec.extent)
-    order = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))   # keys are positive
-    uv = flat[order[starts]]
-    order = rows[order]
-    sizes = np.diff(starts, append=len(order))
-    passes = []
-    for k in range(1, sizes.max(initial=0)):
-        cells = np.flatnonzero(sizes > k)
-        passes.append((order[starts[cells] + k], cells))
-    grid = SparseVoxelTensor(uv, np.zeros((len(uv), 0)), spec, _validate=False)
-    pairs = grid.pairs_at(uv, np.pad(OFFSETS_2D, ((0, 0), (0, 1))))
-    first = order[starts]
-    h2d = h2d.copy()
-    for a in (h2d, valid, first, *(arr for pair in passes + pairs for arr in pair)):
-        a.setflags(write=False)
-    tensor._cell_map = (h2d, (valid, first, passes, pairs))
-    return tensor._cell_map[1]
-
-
 def _cell_max(X: np.ndarray, first, passes) -> np.ndarray:
     """(M, C) per-cell channel max of the rows of X, one rank pass at a time."""
     pooled = X[first]
@@ -332,7 +287,7 @@ def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
         raise ValueError(
             f"feature width {tensor.width} does not match kernel C_in {weights.c_in}"
         )
-    valid, first, passes, pairs = _group_cells(tensor, np.asarray(h2d, dtype=np.int64))
+    valid, first, passes, pairs = tensor.cell_map(h2d)
     pooled = _cell_max(tensor.features, first, passes)
     pre = _pair_conv(pooled, pairs, weights.w2d, weights.bias2d, len(first))
     cell_out = act.apply(pre)

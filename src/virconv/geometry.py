@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
+    INVALID_2D,
     SparseVoxelTensor,
     VoxelGridSpec,
     inside_extent,
@@ -22,9 +23,6 @@ from .tensor import (
     origin_flags_of,
     padded_keys,
 )
-
-# Sentinel 2D index for voxels whose projection is invalid (behind camera).
-INVALID_2D = np.iinfo(np.int64).min
 
 MIN_CAMERA_DEPTH = 0.1  # meters; projections at or behind this are invalid
 
@@ -311,7 +309,11 @@ def read_fused_bin(path) -> SparsePointCloud:
 
 
 def parse_kitti_calib(path) -> Calibration:
-    """Parse a KITTI calib text file (keys P2, R0_rect, Tr_velo_to_cam)."""
+    """Parse a KITTI calib text file (keys P2, R0_rect, Tr_velo_to_cam).
+
+    Raises FormatError when a required key is missing or does not hold its
+    count of finite numbers; other keys are not read.
+    """
     values = {}
     with open(path) as f:
         for line in f:
@@ -319,7 +321,7 @@ def parse_kitti_calib(path) -> Calibration:
             if not line or ":" not in line:
                 continue
             key, _, rest = line.partition(":")
-            values[key.strip()] = np.array([float(v) for v in rest.split()])
+            values[key.strip()] = rest.split()
     required = {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
     for key, count in required.items():
         if key not in values:
@@ -328,6 +330,12 @@ def parse_kitti_calib(path) -> Calibration:
             raise FormatError(
                 f"{path}: key {key} has {len(values[key])} values, expected {count}"
             )
+        try:
+            values[key] = np.array([float(v) for v in values[key]])
+        except ValueError:
+            raise FormatError(f"{path}: key {key} has a non-numeric value") from None
+        if not np.isfinite(values[key]).all():
+            raise FormatError(f"{path}: key {key} has a non-finite value")
     return Calibration(
         cam_projection=values["P2"].reshape(3, 4),
         rect=values["R0_rect"].reshape(3, 3),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ActivationSpec, KernelWeights, RELU, SpconvWeights, nrconv, spconv_downsample
+from .conv import KernelWeights, SpconvWeights, nrconv, spconv_downsample
 from .geometry import (
     AugmentationRecord,
     Calibration,
@@ -136,9 +136,9 @@ def make_h2d_provider(calib: Calibration, record: AugmentationRecord):
 
 
 def virconv_block(tensor: SparseVoxelTensor, h2d_provider, spec: VirConvBlockSpec,
-                  weights: BlockWeights, rng: SeededRng, training: bool,
-                  act: ActivationSpec = RELU) -> SparseVoxelTensor:
-    """Layer discard (training only), conv layers, optional downsample.
+                  weights: BlockWeights, rng: SeededRng,
+                  training: bool) -> SparseVoxelTensor:
+    """Layer discard (training only), ReLU conv layers, optional downsample.
 
     The pixel-cell projection is computed once from the post-discard sites;
     conv layers keep the site set unchanged, so all layers in the block share
@@ -147,9 +147,9 @@ def virconv_block(tensor: SparseVoxelTensor, h2d_provider, spec: VirConvBlockSpe
     out = layer_stvd(tensor, spec.layer_stvd_rate, rng, training)
     h2d = h2d_provider(out) if out.n else np.zeros((0, 2), np.int64)
     for kw in weights.nrconvs:
-        out = nrconv(out, h2d, kw, act)
+        out = nrconv(out, h2d, kw)
     if spec.downsample:
-        out = spconv_downsample(out, weights.down, act)
+        out = spconv_downsample(out, weights.down)
     return out
 
 
@@ -158,7 +158,7 @@ def virconvnet_forward(cloud: SparsePointCloud, net: VirConvNetSpec,
                        record: AugmentationRecord, weights: NetWeights,
                        rng: SeededRng, training: bool = False,
                        grid: VoxelGridSpec = None, apply_input_stvd: bool = True,
-                       act: ActivationSpec = RELU, stage_times=None):
+                       stage_times=None):
     """Full backbone: voxelize, input discard, four blocks.
 
     Returns the list of per-level output tensors. An input that voxelizes (or
@@ -182,7 +182,7 @@ def virconvnet_forward(cloud: SparsePointCloud, net: VirConvNetSpec,
     block_times = []
     for spec, bw in zip(net.blocks, weights.blocks):
         tb = tick()
-        tensor = virconv_block(tensor, provider, spec, bw, rng, training, act)
+        tensor = virconv_block(tensor, provider, spec, bw, rng, training)
         block_times.append((tick() - tb) * 1e3)
         levels.append(tensor)
     if stage_times is not None:

@@ -342,23 +342,44 @@ def _fits(value, default) -> bool:
     return isinstance(value, number) and not isinstance(value, bool)
 
 
+def _json_object(scene_dir, name) -> dict:
+    with open(os.path.join(scene_dir, name)) as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{scene_dir}: {name} must be a JSON object, "
+                          f"got {type(doc).__name__}")
+    return doc
+
+
 def load_scene(scene_dir) -> Scene:
+    """Scene written by save_scene. Raises FormatError when a JSON file is not
+    shaped as save_scene writes it, and ValueError on an out-of-range spec."""
     lidar = read_velodyne_bin(os.path.join(scene_dir, "lidar.bin"))
     virtual = read_virtual_bin(os.path.join(scene_dir, "virtual.bin"))
-    with open(os.path.join(scene_dir, "labels.json")) as f:
-        labels = json.load(f)
-    with open(os.path.join(scene_dir, "meta.json")) as f:
-        meta = json.load(f)
+    labels = _json_object(scene_dir, "labels.json")
+    meta = _json_object(scene_dir, "meta.json")
     try:
         spec, seed = parse_scene_spec(meta["spec"]), meta["seed"]
     except KeyError as e:
         raise FormatError(f"{scene_dir}: meta.json has no key {e}") from None
+    if not _fits(seed, 0):
+        raise FormatError(f"{scene_dir}: meta.json seed must be an integer")
+    where = f"{scene_dir}: labels.json"
     try:
-        noise = np.array(labels["noise"], dtype=bool)
-        boxes = [Box(center=tuple(b["center"]), size=tuple(b["size"])) for b in labels["boxes"]]
+        noise, boxes = labels["noise"], labels["boxes"]
+        if not (isinstance(boxes, list) and all(isinstance(b, dict) for b in boxes)):
+            raise FormatError(f"{where}: boxes must be a list of objects")
+        boxes = [(b["center"], b["size"]) for b in boxes]
     except KeyError as e:
-        raise FormatError(f"{scene_dir}: labels.json has no key {e}") from None
-    return Scene(lidar=lidar, virtual=virtual, noise_labels=noise, boxes=boxes,
+        raise FormatError(f"{where} has no key {e}") from None
+    if not all(_fits(v, (0.0, 0.0, 0.0)) for box in boxes for v in box):
+        raise FormatError(f"{where}: each box center and size must be 3 numbers")
+    if not (isinstance(noise, list) and len(noise) == virtual.n
+            and all(v in (0, 1) for v in noise)):
+        raise FormatError(f"{where}: noise must hold one 0/1 label per virtual "
+                          f"point ({virtual.n})")
+    return Scene(lidar=lidar, virtual=virtual, noise_labels=np.array(noise, dtype=bool),
+                 boxes=[Box(tuple(center), tuple(size)) for center, size in boxes],
                  spec=spec, seed=seed)
 
 

@@ -37,7 +37,9 @@ CENTER_3D = 13
 OFFSETS_2D = np.array(
     [(du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1)], dtype=np.int64
 )
-CENTER_2D = 4
+
+# Sentinel 2D index for voxels whose projection is invalid (behind camera).
+INVALID_2D = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -130,12 +132,13 @@ class SparseVoxelTensor:
     origin_flags: optional (N,) int8 in {ORIGIN_LIDAR, ORIGIN_VIRTUAL,
         ORIGIN_MIXED}, tracking point provenance per voxel.
 
-    Neighbours are found on sorted padded_keys: a query row is keyed once,
-    and each kernel offset is one scalar add and one searchsorted. These
-    lookup structures (sorted keys, the 27-offset kernel map searched over
-    14 offsets, conv's 2D cell map per h2d) are built lazily, once per site
-    set: `with_features` shares them, while `take_rows` and every new tensor
-    start without.
+    Every site lookup goes through sorted padded_keys: a query row is keyed
+    once, and each kernel offset is one scalar add and one searchsorted in
+    pairs_at. One mirrored self-pair search, _self_pairs, builds both
+    submanifold maps: the 27-offset kernel map of the sites, and the 9-offset
+    map of the pixel cells in cell_map. These lookup structures are built
+    lazily, once per site set (and h2d): `with_features` shares them, while
+    `take_rows` and every new tensor start without.
     """
 
     def __init__(self, indices, features, spec, origin_flags=None, _validate=True):
@@ -157,7 +160,12 @@ class SparseVoxelTensor:
             origin_flags.setflags(write=False)
         self._sorted = None
         self._kernel_map = None
-        self._cell_map = None   # (read-only copy of h2d, grouping), set by conv
+        self._cell_map = None   # (read-only copy of h2d, cell map)
+        if _validate and self.n:
+            skeys, order = self.sorted_keys()
+            dup = order[np.flatnonzero(skeys[1:] == skeys[:-1])]
+            if len(dup):
+                raise ValueError(f"duplicate voxel index {tuple(int(v) for v in indices[dup[0]])}")
 
     @property
     def n(self) -> int:
@@ -196,12 +204,9 @@ class SparseVoxelTensor:
         """
         indices = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
         rows = np.full(len(indices), -1, dtype=np.int64)
-        if self.n == 0 or len(indices) == 0:
-            return rows
         sel = np.flatnonzero(inside_extent(indices, self.spec.extent))
-        if len(sel):
-            pos, hit = self._locate(padded_keys(indices[sel], self.spec.extent))
-            rows[sel] = np.where(hit, self.sorted_keys()[1][pos], -1)
+        [(hits, found)] = self.pairs_at(indices[sel], np.zeros((1, 3), np.int64))
+        rows[sel[hits]] = found
         return rows
 
     def pairs_at(self, base, offsets) -> list:
@@ -232,26 +237,75 @@ class SparseVoxelTensor:
             pairs.append((rows, order[pos[rows]]))
         return pairs
 
-    def kernel_map(self) -> tuple:
-        """Submanifold 3x3x3 kernel map: per OFFSETS_3D[k], the (out rows,
-        in rows) with indices[in] == indices[out] + OFFSETS_3D[k].
+    def _self_pairs(self, offsets) -> list:
+        """Per offsets[k], the read-only (out rows, in rows) with indices[in]
+        == indices[out] + offsets[k]; out rows ascend. offsets is symmetric
+        about a zero centre (offsets[-1 - k] == -offsets[k]), so only the
+        strict first half is searched: the centre pairs each row with itself,
+        and pair -1 - k is pair k swapped, re-sorted if its out rows do not
+        ascend."""
+        half = len(offsets) // 2
+        pairs = self.pairs_at(self.indices, offsets[:half])
+        pairs.append((np.arange(self.n),) * 2)
+        for out_rows, in_rows in pairs[half - 1::-1]:
+            if np.any(in_rows[1:] < in_rows[:-1]):
+                by_in = np.argsort(in_rows, kind="stable")
+                in_rows, out_rows = in_rows[by_in], out_rows[by_in]
+            pairs.append((in_rows, out_rows))
+        for arr in (a for pair in pairs for a in pair):
+            arr.setflags(write=False)
+        return pairs
 
-        Built once per site set and cached; the arrays are read-only. Only
-        offsets 0..13 are searched: OFFSETS_3D[26 - k] == -OFFSETS_3D[k], so
-        pair 26 - k is pair k swapped, re-sorted if its out rows do not ascend.
-        """
+    def kernel_map(self) -> tuple:
+        """Submanifold 3x3x3 kernel map: _self_pairs(OFFSETS_3D), which
+        searches 13 of the 27 offsets, built once per site set and cached."""
         if self._kernel_map is None:
-            pairs = self.pairs_at(self.indices, OFFSETS_3D[:CENTER_3D + 1])
-            for out_rows, in_rows in pairs[CENTER_3D - 1::-1]:
-                if np.any(in_rows[1:] < in_rows[:-1]):
-                    by_in = np.argsort(in_rows, kind="stable")
-                    in_rows, out_rows = in_rows[by_in], out_rows[by_in]
-                pairs.append((in_rows, out_rows))
-            for out_rows, in_rows in pairs:
-                out_rows.setflags(write=False)
-                in_rows.setflags(write=False)
-            self._kernel_map = tuple(pairs)
+            self._kernel_map = tuple(self._self_pairs(OFFSETS_3D))
         return self._kernel_map
+
+    def cell_map(self, h2d) -> tuple:
+        """Rows grouped by 2D pixel cell, and the 3x3 map over those cells.
+
+        h2d is (N, 2) per row, INVALID_2D where the projection is invalid.
+        Returns (valid mask, first, passes, pairs). Cells are numbered in
+        lexicographic (u, v) order; first[j] is the first row of cell j, and
+        passes[k - 1] holds (rows, cells) for the (k+1)-th rows of the cells
+        with more than k rows. pairs holds, per OFFSETS_2D entry, the (output
+        cell, input cell) pairs over occupied cells, from _self_pairs on the
+        cells as the sites of a one-voxel-thick grid. The read-only result is
+        cached with a private copy of h2d, and reused while h2d still equals
+        that copy.
+        """
+        h2d = np.asarray(h2d, dtype=np.int64)
+        cached = self._cell_map
+        if cached is not None and np.array_equal(cached[0], h2d):
+            return cached[1]
+        valid = h2d[:, 0] != INVALID_2D
+        rows = np.flatnonzero(valid)
+        flat = np.zeros((len(rows), 3), np.int64)
+        if len(rows):
+            flat[:, :2] = h2d[rows]
+            flat[:, :2] -= flat[:, :2].min(axis=0)
+        spec = VoxelGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
+                             tuple(int(e) for e in flat.max(axis=0, initial=0) + 1))
+        keys = padded_keys(flat, spec.extent)
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))   # keys are positive
+        grid = SparseVoxelTensor(flat[order[starts]], np.zeros((len(starts), 0)), spec,
+                                 _validate=False)
+        order = rows[order]
+        sizes = np.diff(starts, append=len(order))
+        passes = []
+        for k in range(1, sizes.max(initial=0)):
+            cells = np.flatnonzero(sizes > k)
+            passes.append((order[starts[cells] + k], cells))
+        pairs = grid._self_pairs(np.pad(OFFSETS_2D, ((0, 0), (0, 1))))
+        first = order[starts]
+        h2d = h2d.copy()
+        for a in (h2d, valid, first, *(arr for pair in passes for arr in pair)):
+            a.setflags(write=False)
+        self._cell_map = (h2d, (valid, first, passes, pairs))
+        return self._cell_map[1]
 
     def with_features(self, features, origin_flags="keep") -> "SparseVoxelTensor":
         """Same sites, new feature matrix. Shares index storage and caches."""
@@ -312,12 +366,4 @@ def _validate_tensor(indices, features, spec, origin_flags):
         raise ValueError(
             f"index {tuple(int(v) for v in bad)} outside grid extent "
             f"{tuple(int(v) for v in spec.extent)}"
-        )
-    keys = padded_keys(indices, spec.extent)
-    uniq, counts = np.unique(keys, return_counts=True)
-    if (counts > 1).any():
-        dup_key = uniq[np.argmax(counts > 1)]
-        row = np.flatnonzero(keys == dup_key)[0]
-        raise ValueError(
-            f"duplicate voxel index {tuple(int(v) for v in indices[row])}"
         )

@@ -1,11 +1,15 @@
 """Weight checkpoints and benchmark bookkeeping helpers."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from virconv import NetWeights, SeededRng, StvdConfig, VirConvNetSpec
 from virconv.bench import config_hash, nearby_discardable_counts, solve_keep_per_bin
 from virconv.checkpoint import MAGIC, load_weights, save_weights
+from virconv.geometry import FormatError
 from virconv.stvd import bin_histogram
 from test_stvd import tensor_at_distances
 
@@ -34,6 +38,54 @@ def test_checkpoint_rejects_bad_magic_and_shape(tmp_path):
     narrow = VirConvNetSpec.default(c_in=4)
     with pytest.raises(ValueError, match="shape"):
         load_weights(path, narrow)
+
+
+def saved_checkpoint(tmp_path):
+    """(path, manifest) of a freshly saved default-spec checkpoint."""
+    path = tmp_path / "w.bin"
+    save_weights(path, NetWeights.initialize(VirConvNetSpec.default(), SeededRng(0)))
+    return path, json.loads(Path(str(path) + ".json").read_text())
+
+
+def write_manifest(path, manifest):
+    Path(str(path) + ".json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("keep, match", [
+    (lambda ps: ps[:1], "lacks 37 parameters"),
+    (lambda ps: ps[1:], r"lacks 1 parameters of the net spec, the first is block0\.nrconv0\.w3d"),
+    (lambda ps: ps + ps[3:4], r"repeats parameter block0\.nrconv0\.bias2d"),
+    (lambda ps: ps + [dict(ps[0], name="block9.w")], r"block9\.w not in net spec")],
+    ids=["one-of-38", "first-dropped", "one-repeated", "unknown-name"])
+def test_checkpoint_must_hold_each_spec_parameter_once(tmp_path, keep, match):
+    path, manifest = saved_checkpoint(tmp_path)
+    assert len(manifest["params"]) == 38
+    write_manifest(path, dict(manifest, params=keep(manifest["params"])))
+    with pytest.raises(ValueError, match=match) as info:
+        load_weights(path, VirConvNetSpec.default())
+    assert not isinstance(info.value, FormatError)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda m: [m], "manifest must be an object"),
+    (lambda m: {"params": m["params"]}, "manifest must be an object"),
+    (lambda m: {"version": 1}, "manifest must be an object"),
+    (lambda m: dict(m, params={"b1.conv0.w3d": 0}), "manifest must be an object"),
+    (lambda m: dict(m, params=[{k: v for k, v in e.items() if k != "offset"}
+                               for e in m["params"]]), "needs a name, a shape and an offset"),
+    (lambda m: dict(m, params=[dict(e, name=None) for e in m["params"]]), "needs a name"),
+    (lambda m: dict(m, params=m["params"][:-1] + [dict(m["params"][-1],
+                                                       offset=m["params"][-1]["offset"] + 8)]),
+     "does not fit in the"),
+    (lambda m: dict(m, params=[dict(m["params"][0], offset=-8)] + m["params"][1:]),
+     "does not fit in the")],
+    ids=["list", "no-version", "no-params", "params-object", "no-offset", "name-null",
+         "past-the-end", "negative-offset"])
+def test_malformed_checkpoint_manifest_is_format_error(tmp_path, edit, match):
+    path, manifest = saved_checkpoint(tmp_path)
+    write_manifest(path, edit(manifest))
+    with pytest.raises(FormatError, match=match):
+        load_weights(path, VirConvNetSpec.default())
 
 
 def test_config_hash_stable_and_order_free():

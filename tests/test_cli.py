@@ -6,7 +6,8 @@ import shutil
 import numpy as np
 import pytest
 
-from virconv import SeededRng
+from virconv import NetWeights, SeededRng, VirConvNetSpec
+from virconv.checkpoint import save_weights
 from virconv.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, main
 from virconv.geometry import read_fused_bin
 from virconv.scene import SyntheticSceneSpec, generate_scene, save_scene
@@ -60,6 +61,29 @@ def test_forward_dump_dir(scene_dir, tmp_path, capsys):
     level1 = json.loads((dump / "level1.json").read_text())
     assert set(level1) >= {"indices", "features"}
     capsys.readouterr()
+
+
+def test_forward_rejects_a_partial_or_malformed_checkpoint(scene_dir, tmp_path, capsys):
+    weights = tmp_path / "w.bin"
+    save_weights(weights, NetWeights.initialize(VirConvNetSpec.default(), SeededRng(0)))
+    manifest = json.loads((tmp_path / "w.bin.json").read_text())
+    argv = ["forward", "--lidar", scene_dir / "lidar.bin", "--calib", scene_dir / "calib.txt",
+            "--weights", weights]
+    for doc, code in ((dict(manifest, params=manifest["params"][:1]), EXIT_CONFIG),
+                      ([manifest], EXIT_PARSE),
+                      ({"params": manifest["params"]}, EXIT_PARSE)):
+        (tmp_path / "w.bin.json").write_text(json.dumps(doc))
+        assert run(argv) == code
+        assert "error:" in capsys.readouterr().err
+
+
+def test_forward_rejects_a_calibration_with_bad_numbers(scene_dir, tmp_path, capsys):
+    calib = tmp_path / "calib.txt"
+    for bad in ("abc", "nan"):
+        calib.write_text((scene_dir / "calib.txt").read_text().replace("P2: 400.0", f"P2: {bad}"))
+        code = run(["forward", "--lidar", scene_dir / "lidar.bin", "--calib", calib])
+        assert code == EXIT_PARSE
+        assert "key P2 has a non-" in capsys.readouterr().err
 
 
 def test_missing_file_is_parse_error(tmp_path, capsys):
@@ -157,6 +181,36 @@ def test_scene_json_missing_a_key_is_parse_error(scene_dir, tmp_path, capsys, na
     assert run(["stvd-stats", "--scene", bad]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert name in err and repr(path[-1]) in err
+
+
+@pytest.mark.parametrize("name, path, value, message", [
+    ("meta.json", [], [1, 2], "must be a JSON object"),
+    ("meta.json", ["seed"], "3", "seed must be an integer"),
+    ("labels.json", [], "labels", "must be a JSON object"),
+    ("labels.json", ["boxes", 1], 7, "list of objects"),
+    ("labels.json", ["boxes"], {"center": [1, 2, 3]}, "list of objects"),
+    ("labels.json", ["boxes", 0, "center"], [1.0, 2.0], "3 numbers"),
+    ("labels.json", ["boxes", 1, "size"], [1.0, "2", 3.0], "3 numbers"),
+    ("labels.json", ["noise"], [0, 1], "one 0/1 label per virtual point"),
+    ("labels.json", ["noise", 0], 2, "one 0/1 label per virtual point")],
+    ids=["meta-list", "seed-string", "labels-string", "box-number", "boxes-object",
+         "center-two-numbers", "size-string", "noise-short", "noise-two"])
+def test_scene_json_of_the_wrong_shape_is_parse_error(scene_dir, tmp_path, capsys, name,
+                                                      path, value, message):
+    bad = tmp_path / "scene"
+    shutil.copytree(scene_dir, bad)
+    doc = json.loads((bad / name).read_text())
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    (bad / name).write_text(json.dumps(doc))
+    assert run(["stvd-stats", "--scene", bad]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert name in err and message in err
 
 
 def test_scene_meta_with_unknown_spec_key_is_parse_error(scene_dir, tmp_path, capsys):

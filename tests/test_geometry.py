@@ -274,3 +274,23 @@ def test_calib_roundtrip_and_missing_key(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="missing calibration key R0_rect"):
         parse_kitti_calib(path)
+
+
+@pytest.mark.parametrize("key, bad, match", [
+    ("P2", "abc", "key P2 has a non-numeric value"),
+    ("P2", "nan", "key P2 has a non-finite value"),
+    ("R0_rect", "inf", "key R0_rect has a non-finite value"),
+    ("Tr_velo_to_cam", "-inf", "key Tr_velo_to_cam has a non-finite value"),
+    ("Tr_velo_to_cam", "1,5", "key Tr_velo_to_cam has a non-numeric value")])
+def test_calib_rejects_non_numeric_and_non_finite_values(tmp_path, key, bad, match):
+    path = tmp_path / "calib.txt"
+    write_kitti_calib(path, synthetic_calibration())
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith(key + ":"):
+            values = line.split()
+            values[2] = bad
+            lines[i] = " ".join(values)
+    path.write_text("\n".join(lines + ["calib_time: 09-Jan-2012 13:57:47"]) + "\n")
+    with pytest.raises(FormatError, match=match):
+        parse_kitti_calib(path)

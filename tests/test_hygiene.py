@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and only tensor.py
+touches the site-set lookup caches."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,27 @@ def test_unused_import_check_sees_names_and_annotations():
     src = ("import os\nimport numpy as np\nfrom a.b import c, d\n"
            "def f(x: 'c') -> None:\n    return np.zeros(1)\n")
     assert unused_imports(src) == [(1, "os"), (3, "d")]
+
+
+# SparseVoxelTensor's lookup caches: only tensor.py builds, reads or shares them.
+TENSOR_CACHES = {"_sorted", "_kernel_map", "_cell_map"}
+
+
+def cache_accesses(source: str) -> list:
+    """(line, attribute) of each read or write of a TENSOR_CACHES attribute."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in TENSOR_CACHES)
+
+
+def test_only_tensor_module_touches_lookup_caches():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert any(p.name == "tensor.py" for p in files)
+    assert cache_accesses((ROOT / "src" / "virconv" / "tensor.py").read_text())
+    found = [f"{p.relative_to(ROOT)}:{line}: .{attr}" for p in files if p.name != "tensor.py"
+             for line, attr in cache_accesses(p.read_text())]
+    assert not found, "lookup caches touched outside tensor.py:\n" + "\n".join(found)
+
+
+def test_cache_access_check_sees_reads_and_writes():
+    src = "t._cell_map = (h, m)\nx = t._sorted[0]\ny = t.sorted_keys()\n"
+    assert cache_accesses(src) == [(1, "_cell_map"), (2, "_sorted")]

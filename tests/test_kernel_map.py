@@ -25,8 +25,9 @@ from virconv.conv import RELU, Ctx, conv2d_branch_backward, nrconv_backward
 from virconv.geometry import INVALID_2D, AugmentationRecord
 from virconv.net import NetWeights, fuse_early, make_h2d_provider, virconvnet_forward
 from virconv.scene import SyntheticSceneSpec, generate_scene, synthetic_calibration
-from virconv.tensor import OFFSETS_3D
+from virconv.tensor import OFFSETS_2D, OFFSETS_3D
 from conftest import random_h2d, random_tensor
+from test_properties import row_tensor
 
 
 @st.composite
@@ -158,14 +159,50 @@ def test_kernel_map_mirrors_the_searched_half_on_any_row_order(case, order):
                 == set(zip(kmap[k][1].tolist(), kmap[k][0].tolist())))
 
 
-def test_kernel_map_searches_fourteen_offsets(rng, monkeypatch):
+def test_kernel_map_searches_thirteen_offsets_and_cell_map_four(rng, monkeypatch):
     searches = []
     locate = SparseVoxelTensor._locate
     monkeypatch.setattr(SparseVoxelTensor, "_locate",
                         lambda self, keys: searches.append(len(keys)) or locate(self, keys))
     t = random_tensor(rng)
     t.kernel_map()
-    assert searches == [t.n] * 14
+    assert searches == [t.n] * 13
+    h2d = random_h2d(rng, t.n)
+    searches.clear()
+    first = t.cell_map(h2d)[1]
+    assert searches == [len(first)] * 4
+    searches.clear()
+    t.kernel_map()
+    t.with_features(np.zeros((t.n, 1))).cell_map(h2d.copy())
+    assert searches == []
+
+
+@st.composite
+def cell_sets(draw):
+    """(N, 2) h2d in any row order: cells from a small patch, negative ones
+    included, repeated across rows, with some rows invalid."""
+    n = draw(st.integers(0, 40))
+    cell = st.one_of(st.just((INVALID_2D, INVALID_2D)),
+                     st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    return np.array(draw(st.lists(cell, min_size=n, max_size=n)), np.int64).reshape(n, 2)
+
+
+@settings(deadline=None, max_examples=80)
+@given(h2d=cell_sets())
+def test_cell_map_mirrors_the_searched_half_on_any_row_order(h2d):
+    _, first, _, pairs = row_tensor(np.zeros((len(h2d), 1))).cell_map(h2d)
+    cells = h2d[first]
+    m = len(cells)
+    assert len({tuple(c) for c in cells.tolist()}) == m
+    assert np.array_equal(np.lexsort((cells[:, 1], cells[:, 0])), np.arange(m))
+    assert len(pairs) == 9
+    assert_pairs_equal(pairs, brute_pairs(cells, cells, OFFSETS_2D))
+    assert np.array_equal(pairs[4][0], np.arange(m)) and np.array_equal(pairs[4][1], np.arange(m))
+    for k in range(9):
+        out_rows, in_rows = pairs[8 - k]
+        assert np.all(np.diff(out_rows) > 0)
+        assert (set(zip(out_rows.tolist(), in_rows.tolist()))
+                == set(zip(pairs[k][1].tolist(), pairs[k][0].tolist())))
 
 
 def test_nrconv_chain_groups_cells_once(rng):

@@ -16,7 +16,6 @@ from virconv.conv import (
     _cell_argmax,
     _cell_max,
     _cell_sum,
-    _group_cells,
     conv2d_branch,
     conv2d_branch_backward,
 )
@@ -134,7 +133,7 @@ def test_rank_passes_match_segment_reductions_bit_for_bit(case, all_invalid, see
     rng = np.random.default_rng(seed)
     X[(X == 0) & (rng.random(X.shape) < 0.5)] = -0.0   # signed zeros tie with 0.0
     G = rng.choice([-1.5, -0.0, 0.0, 0.25, 1.0], size=X.shape)
-    valid, first, passes, _ = _group_cells(row_tensor(X), h2d)
+    valid, first, passes, _ = row_tensor(X).cell_map(h2d)
 
     assert np.array_equal(valid, h2d[:, 0] != INVALID_2D)
     members = np.concatenate([first, *(rows for rows, _ in passes)])

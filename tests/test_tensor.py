@@ -17,6 +17,10 @@ def test_duplicate_indices_rejected_naming_site():
     idx = [[1, 2, 3], [0, 0, 0], [1, 2, 3]]
     with pytest.raises(ValueError, match=r"duplicate voxel index \(1, 2, 3\)"):
         SparseVoxelTensor(idx, np.zeros((3, 2)), SPEC)
+    # Of several repeated sites, the lowest in (x, y, z) order is named.
+    idx = [[5, 0, 0], [1, 2, 3], [0, 7, 7], [5, 0, 0], [1, 2, 3], [0, 7, 7]]
+    with pytest.raises(ValueError, match=r"duplicate voxel index \(0, 7, 7\)"):
+        SparseVoxelTensor(idx, np.zeros((6, 2)), SPEC)
 
 
 def test_out_of_extent_rejected():
