@@ -49,4 +49,4 @@ out = nrconv(tensor, h2d, weights, act, ctx)
 weights.zero_grads()
 grad_in = nrconv_backward(ctx, np.ones_like(out.features))
 print(f"input gradient shape {grad_in.shape}, "
-      f"kernel gradient norm {np.linalg.norm(weights.g_w3d):.3f}")
+      f"kernel gradient norm {np.linalg.norm(weights.conv3d.g_w):.3f}")

@@ -44,7 +44,6 @@ from .net import (
     VirConvBlockSpec,
     VirConvNetSpec,
     fuse_early,
-    split_by_origin,
     virconv_block,
     virconvnet_forward,
 )
@@ -68,7 +67,7 @@ __all__ = [
     "ActivationSpec", "Ctx", "KernelWeights", "SpconvWeights",
     "conv2d_branch", "nrconv", "spconv_downsample", "submanifold_conv3d",
     "BlockWeights", "NetWeights", "VirConvBlockSpec", "VirConvNetSpec",
-    "fuse_early", "split_by_origin", "virconv_block", "virconvnet_forward",
+    "fuse_early", "virconv_block", "virconvnet_forward",
     "NoiseClassifier", "default_classifier_scene_spec", "roc_auc",
     "scene_to_dataset", "train_noise_classifier",
     "SeededRng",

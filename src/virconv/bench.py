@@ -108,7 +108,6 @@ def run_sweep(scene_dir, rates, repeats: int, seed: int,
     )
 
     reports = []
-    baseline_ms = None
     for rate in rates:
         if rate == 0.0:
             cfg = base_cfg
@@ -136,9 +135,6 @@ def run_sweep(scene_dir, rates, repeats: int, seed: int,
             times.append(elapsed)
             for k in STAGE_KEYS:
                 stage_runs[k].append(stages.get(k, 0.0))
-        med = _median(times)
-        if rate == 0.0:
-            baseline_ms = med
         reports.append(
             BenchReport(
                 scenario=str(scene_dir),
@@ -147,12 +143,13 @@ def run_sweep(scene_dir, rates, repeats: int, seed: int,
                 voxels_before=base_tensor.n,
                 voxels_after=after,
                 stage_ms={k: _median(v) for k, v in stage_runs.items()},
-                time_ms_median=med,
-                speedup=1.0 if rate == 0.0 else (
-                    baseline_ms / med if baseline_ms else float("nan")
-                ),
+                time_ms_median=_median(times),
                 seed=seed,
                 config_hash=chash,
             )
         )
+    # Speedups are relative to the rate-0 row wherever it sits; NaN without one.
+    baseline_ms = next((r.time_ms_median for r in reports if r.rate == 0.0), float("nan"))
+    for r in reports:
+        r.speedup = baseline_ms / r.time_ms_median
     return reports

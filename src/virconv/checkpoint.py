@@ -19,6 +19,11 @@ MAGIC = b"VCONVWTS"
 VERSION = 1
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; bool is an int subclass but is rejected."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def save_weights(path, weights: NetWeights):
     entries = []
     offset = len(MAGIC) + 4
@@ -40,17 +45,17 @@ def save_weights(path, weights: NetWeights):
 def load_weights(path, spec: VirConvNetSpec) -> NetWeights:
     """Weights of `spec` from a checkpoint.
 
-    Raises FormatError on a malformed manifest or an entry outside the blob,
-    and ValueError unless the checkpoint holds each parameter of `spec`
-    exactly once, with its shape.
+    Raises FormatError on a malformed manifest, an entry outside the blob or
+    non-finite parameter data, and ValueError unless the checkpoint holds
+    each parameter of `spec` exactly once, with its shape.
     """
     weights = NetWeights.initialize(spec, SeededRng(0))
     with open(str(path) + ".json") as f:
         manifest = json.load(f)
-    if not (isinstance(manifest, dict) and "version" in manifest
+    if not (isinstance(manifest, dict) and _is_int(manifest.get("version"))
             and isinstance(manifest.get("params"), list)):
         raise FormatError(f"{path}.json: manifest must be an object with "
-                          f"a version and a params list")
+                          f"an integer version and a params list")
     if manifest["version"] != VERSION:
         raise ValueError(f"unsupported checkpoint version {manifest['version']}")
     with open(path, "rb") as f:
@@ -76,11 +81,13 @@ def load_weights(path, spec: VirConvNetSpec) -> NetWeights:
                 f"checkpoint shape {entry['shape']} != expected {list(arr.shape)} "
                 f"for {name}"
             )
-        if not (isinstance(offset, int) and 0 <= offset <= len(blob) - arr.nbytes):
+        if not (_is_int(offset) and 0 <= offset <= len(blob) - arr.nbytes):
             raise FormatError(f"{path}: parameter {name} at byte offset {offset!r} "
                               f"does not fit in the {len(blob)}-byte file")
         arr[...] = np.frombuffer(blob, dtype="<f8", count=arr.size,
                                  offset=offset).reshape(arr.shape)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: parameter {name} holds non-finite values")
     missing = [name for name in by_name if name not in loaded]
     if missing:
         raise ValueError(f"checkpoint lacks {len(missing)} parameters of the "

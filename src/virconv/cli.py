@@ -104,7 +104,11 @@ def cmd_forward(args) -> int:
 
 
 def cmd_bench_stvd(args) -> int:
-    rates = [float(r) for r in args.sweep_rates.split(",")]
+    try:
+        rates = [float(r) for r in args.sweep_rates.split(",")]
+    except ValueError:
+        raise FormatError(f"--sweep-rates must be comma-separated numbers, "
+                          f"got {args.sweep_rates!r}") from None
     reports = run_sweep(args.scene, rates, args.repeats, args.seed)
     lines = [
         f"# schema_version={CSV_SCHEMA_VERSION}",

@@ -1,37 +1,33 @@
 """Sparse convolution operators and their backward passes.
 
-Three forward operators:
+  * submanifold_conv3d: 3x3x3 convolution at occupied sites only; output
+    sites are the input sites.
+  * conv2d_branch: voxels are max-pooled per projected 2D pixel cell, a 3x3
+    kernel runs over occupied cells, and each cell's output is scattered
+    back to its member voxels.
+  * nrconv: concatenation [3D branch, 2D branch], each half the output width.
+  * spconv_downsample: kernel-3 / stride-2 / padding-1 convolution whose
+    output sites are the halved input sites.
 
-  * submanifold_conv3d: 3x3x3 convolution evaluated only at occupied sites,
-    output sites identical to input sites.
-  * conv2d_branch: voxels are grouped by their projected 2D pixel cell,
-    max-pooled to one representative per cell, convolved with a 3x3 kernel
-    over occupied cells, and the cell output is scattered back to every
-    member voxel.
-  * nrconv: concatenation [3D branch, 2D branch], each producing half the
-    output width.
-
-Plus spconv_downsample, a kernel-3 / stride-2 / padding-1 sparse convolution
-whose output sites are the halved input sites.
-
-This module holds only the arithmetic: every site lookup belongs to
-SparseVoxelTensor. The 3D branch reads its (output row, input row) pairs
-from tensor.kernel_map(), and the 2D branch its grouping of rows by pixel
-cell and its cell pairs from tensor.cell_map(h2d). Both maps are cached per
-site set (and h2d), so every layer of a block and their backward passes
-share one of each. The downsample searches its pairs with
-tensor.pairs_at. The 3D branch, the 2D cell conv and the downsample all
-run one gather-matmul-scatter loop over their pair map, _pair_conv, and
-its backward, _pair_conv_backward. Per offset, every pair map here (3D, 2D
-cell, stride-2) is injective in both directions, so scatters are plain
-fancy-index accumulation. Within a cell, rows go in rank passes: the k-th
-members of all cells form pass k, where no cell repeats, so pooling, its
-argmax and the cell sums are one fancy-index update per pass, in row order.
+All of them are one layer over different pair maps. A pair map lists, per
+kernel offset k, (output rows, input rows); a ConvWeights holds the kernel
+stack w (K, C_in, C_out), the bias and their gradients. One step,
+_pair_conv, computes act(bias + X[in rows] @ w[k] summed into the output
+rows) and saves what _pair_conv_backward needs. Each op only supplies its
+map: tensor.kernel_map() for the 3D branch (KernelWeights.conv3d), the cell
+pairs of tensor.cell_map(h2d) for the 2D branch (KernelWeights.conv2d), and
+tensor.pairs_at(2 * out, OFFSETS_3D) for the downsample (SpconvWeights, the
+27-offset ConvWeights). Every site lookup belongs to SparseVoxelTensor,
+which caches both maps per site set (and h2d). Per offset, every pair map
+is injective in both directions, so scatters are plain fancy-index
+accumulation. Within a cell, rows go in rank passes: the k-th members of
+all cells form pass k, where no cell repeats, so pooling, its argmax and
+the cell sums are one fancy-index update per pass, in row order.
 
 Backward passes are exact: pass a Ctx to a forward call, then call the
 matching *_backward with the upstream gradient. Weight gradients accumulate
-into the weight object's grad buffers; the input-feature gradient is
-returned. All math is float64.
+into the weights' grad buffers; the input-feature gradient is returned. All
+math is float64.
 """
 
 from dataclasses import dataclass, field
@@ -82,9 +78,41 @@ RELU = ActivationSpec("relu")
 IDENTITY = ActivationSpec("identity")
 
 
-def _glorot(shape, fan_in, fan_out, rng: SeededRng):
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.gen.uniform(-bound, bound, size=shape)
+@dataclass
+class ConvWeights:
+    """A kernel stack over the K offsets of a pair map, its bias, their grads."""
+
+    w: np.ndarray      # (K, C_in, C_out)
+    bias: np.ndarray   # (C_out,)
+    g_w: np.ndarray = field(default=None, repr=False)
+    g_bias: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.g_w is None:
+            self.g_w, self.g_bias = np.zeros_like(self.w), np.zeros_like(self.bias)
+
+    @property
+    def c_in(self) -> int:
+        return self.w.shape[1]
+
+    @property
+    def c_out(self) -> int:
+        return self.w.shape[2]
+
+    def zero_grads(self):
+        for _, _, grad in self.params():
+            grad[:] = 0
+
+    @classmethod
+    def initialize(cls, k: int, c_in: int, c_out: int, rng: SeededRng) -> "ConvWeights":
+        """Glorot-uniform stack (fans k * c_in and k * c_out), zero bias."""
+        bound = np.sqrt(6.0 / (k * c_in + k * c_out))
+        return cls(w=rng.gen.uniform(-bound, bound, size=(k, c_in, c_out)),
+                   bias=np.zeros(c_out))
+
+    def params(self):
+        """(name, array, grad array) triples, fixed order."""
+        return [("w", self.w, self.g_w), ("bias", self.bias, self.g_bias)]
 
 
 @dataclass
@@ -92,90 +120,56 @@ class KernelWeights:
     """Parameters of one noise-resistant conv layer: a 27-offset 3D stack and
     a 9-offset 2D stack, each producing half the output width."""
 
-    w3d: np.ndarray       # (27, C_in, C_half)
-    bias3d: np.ndarray    # (C_half,)
-    w2d: np.ndarray       # (9, C_in, C_half)
-    bias2d: np.ndarray    # (C_half,)
-    g_w3d: np.ndarray = field(default=None, repr=False)
-    g_bias3d: np.ndarray = field(default=None, repr=False)
-    g_w2d: np.ndarray = field(default=None, repr=False)
-    g_bias2d: np.ndarray = field(default=None, repr=False)
+    conv3d: ConvWeights   # w (27, C_in, C_half)
+    conv2d: ConvWeights   # w (9, C_in, C_half)
 
     def __post_init__(self):
-        if self.w3d.shape[0] != 27 or self.w2d.shape[0] != 9:
-            raise ValueError("w3d must stack 27 offsets and w2d 9")
-        if self.w3d.shape[2] != self.w2d.shape[2]:
+        if self.conv3d.w.shape[0] != 27 or self.conv2d.w.shape[0] != 9:
+            raise ValueError("conv3d must stack 27 offsets and conv2d 9")
+        if self.conv3d.c_out != self.conv2d.c_out:
             raise ValueError("3D and 2D branches must share the half width")
-        if self.g_w3d is None:
-            self.g_w3d, self.g_bias3d, self.g_w2d, self.g_bias2d = map(
-                np.zeros_like, (self.w3d, self.bias3d, self.w2d, self.bias2d))
 
     @property
     def c_in(self) -> int:
-        return self.w3d.shape[1]
+        return self.conv3d.c_in
 
     @property
     def c_half(self) -> int:
-        return self.w3d.shape[2]
+        return self.conv3d.c_out
 
     @property
     def c_out(self) -> int:
         return 2 * self.c_half
 
     def zero_grads(self):
-        for _, _, grad in self.params():
-            grad[:] = 0
+        self.conv3d.zero_grads()
+        self.conv2d.zero_grads()
 
     @classmethod
     def initialize(cls, c_in: int, c_out: int, rng: SeededRng) -> "KernelWeights":
         if c_out % 2:
             raise ValueError("c_out must be even: the two branches each emit half")
-        ch = c_out // 2
-        return cls(
-            w3d=_glorot((27, c_in, ch), 27 * c_in, 27 * ch, rng),
-            bias3d=np.zeros(ch),
-            w2d=_glorot((9, c_in, ch), 9 * c_in, 9 * ch, rng),
-            bias2d=np.zeros(ch),
-        )
+        return cls(ConvWeights.initialize(27, c_in, c_out // 2, rng),
+                   ConvWeights.initialize(9, c_in, c_out // 2, rng))
 
     def params(self):
-        """(name, array, grad array) triples, fixed order."""
-        return [
-            ("w3d", self.w3d, self.g_w3d),
-            ("bias3d", self.bias3d, self.g_bias3d),
-            ("w2d", self.w2d, self.g_w2d),
-            ("bias2d", self.bias2d, self.g_bias2d),
-        ]
+        """(name, array, grad array) triples: w3d, bias3d, w2d, bias2d."""
+        return [(name + dim, arr, grad)
+                for dim, conv in (("3d", self.conv3d), ("2d", self.conv2d))
+                for name, arr, grad in conv.params()]
 
 
-@dataclass
-class SpconvWeights:
-    """Parameters of the strided downsampling convolution."""
-
-    w: np.ndarray      # (27, C_in, C_out)
-    bias: np.ndarray   # (C_out,)
-    g_w: np.ndarray = field(default=None, repr=False)
-    g_bias: np.ndarray = field(default=None, repr=False)
+class SpconvWeights(ConvWeights):
+    """The strided downsampling convolution's 27-offset stack."""
 
     def __post_init__(self):
         if self.w.shape[0] != 27:
             raise ValueError("w must stack 27 offsets")
-        if self.g_w is None:
-            self.g_w, self.g_bias = np.zeros_like(self.w), np.zeros_like(self.bias)
-
-    def zero_grads(self):
-        for _, _, grad in self.params():
-            grad[:] = 0
+        super().__post_init__()
 
     @classmethod
     def initialize(cls, c_in: int, c_out: int, rng: SeededRng) -> "SpconvWeights":
-        return cls(
-            w=_glorot((27, c_in, c_out), 27 * c_in, 27 * c_out, rng),
-            bias=np.zeros(c_out),
-        )
-
-    def params(self):
-        return [("w", self.w, self.g_w), ("bias", self.bias, self.g_bias)]
+        return super().initialize(27, c_in, c_out, rng)
 
 
 class Ctx:
@@ -195,51 +189,49 @@ class Ctx:
         return self.data
 
 
-def _pair_conv(X: np.ndarray, pairs, w: np.ndarray, bias: np.ndarray,
-               n_out: int) -> np.ndarray:
-    """Pre-activation (n_out, C_out) of a pair-map convolution: bias plus,
-    per offset k, X[in rows] @ w[k] added into the output rows."""
-    pre = np.broadcast_to(bias, (n_out, w.shape[2])).copy()
+def _check_width(tensor: SparseVoxelTensor, conv: ConvWeights):
+    if tensor.width != conv.c_in:
+        raise ValueError(f"feature width {tensor.width} does not match kernel C_in {conv.c_in}")
+
+
+def _pair_conv(X: np.ndarray, pairs, conv: ConvWeights, n_out: int,
+               act: ActivationSpec, ctx: Ctx = None) -> np.ndarray:
+    """act(pre) of a pair-map convolution, where the (n_out, C_out) pre is
+    bias plus, per offset k, X[in rows] @ w[k] added into the output rows.
+    Given a ctx, saves X, pairs, conv, act and pre for _pair_conv_backward."""
+    pre = np.broadcast_to(conv.bias, (n_out, conv.c_out)).copy()
     for k, (out_rows, in_rows) in enumerate(pairs):
         if len(out_rows):
-            pre[out_rows] += X[in_rows] @ w[k]
-    return pre
+            pre[out_rows] += X[in_rows] @ conv.w[k]
+    if ctx is not None:
+        ctx.save(X=X, pairs=pairs, conv=conv, act=act, pre=pre)
+    return act.apply(pre)
 
 
-def _pair_conv_backward(X: np.ndarray, pairs, w: np.ndarray, g_w: np.ndarray,
-                        g_bias: np.ndarray, gpre: np.ndarray) -> np.ndarray:
-    """Backward of _pair_conv: accumulates into g_bias and g_w and returns
-    the gradient with respect to X."""
-    g_bias += gpre.sum(axis=0)
+def _pair_conv_backward(saved: dict, gpre: np.ndarray) -> np.ndarray:
+    """Backward of _pair_conv from its pre-activation gradient: accumulates
+    into conv.g_bias and conv.g_w, returns the gradient with respect to X."""
+    X, conv = saved["X"], saved["conv"]
+    conv.g_bias += gpre.sum(axis=0)
     gX = np.zeros_like(X)
-    for k, (out_rows, in_rows) in enumerate(pairs):
+    for k, (out_rows, in_rows) in enumerate(saved["pairs"]):
         if len(out_rows):
-            g_w[k] += X[in_rows].T @ gpre[out_rows]
-            gX[in_rows] += gpre[out_rows] @ w[k].T
+            conv.g_w[k] += X[in_rows].T @ gpre[out_rows]
+            gX[in_rows] += gpre[out_rows] @ conv.w[k].T
     return gX
 
 
 def submanifold_conv3d(tensor: SparseVoxelTensor, weights: KernelWeights,
                        act: ActivationSpec = RELU, ctx: Ctx = None) -> SparseVoxelTensor:
     """3x3x3 convolution over occupied sites only; output sites = input sites."""
-    if tensor.width != weights.c_in:
-        raise ValueError(
-            f"feature width {tensor.width} does not match kernel C_in {weights.c_in}"
-        )
-    pre = _pair_conv(tensor.features, tensor.kernel_map(), weights.w3d,
-                     weights.bias3d, tensor.n)
-    out = act.apply(pre)
-    if ctx is not None:
-        ctx.save(tensor=tensor, weights=weights, act=act, pre=pre)
-    return tensor.with_features(out)
+    _check_width(tensor, weights.conv3d)
+    return tensor.with_features(_pair_conv(tensor.features, tensor.kernel_map(),
+                                           weights.conv3d, tensor.n, act, ctx))
 
 
 def submanifold_conv3d_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     d = ctx.require("submanifold_conv3d")
-    tensor, weights, act = d["tensor"], d["weights"], d["act"]
-    gpre = grad_out * act.deriv(d["pre"])
-    return _pair_conv_backward(tensor.features, tensor.kernel_map(), weights.w3d,
-                               weights.g_w3d, weights.g_bias3d, gpre)
+    return _pair_conv_backward(d, grad_out * d["act"].deriv(d["pre"]))
 
 
 def _cell_max(X: np.ndarray, first, passes) -> np.ndarray:
@@ -283,45 +275,37 @@ def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
     """
     if len(h2d) != tensor.n:
         raise ValueError(f"h2d has {len(h2d)} rows for {tensor.n} voxels")
-    if tensor.width != weights.c_in:
-        raise ValueError(
-            f"feature width {tensor.width} does not match kernel C_in {weights.c_in}"
-        )
+    conv = weights.conv2d
+    _check_width(tensor, conv)
     valid, first, passes, pairs = tensor.cell_map(h2d)
+    if ctx is not None:
+        ctx.save(tensor=tensor, valid=valid, first=first, passes=passes)
     pooled = _cell_max(tensor.features, first, passes)
-    pre = _pair_conv(pooled, pairs, weights.w2d, weights.bias2d, len(first))
-    cell_out = act.apply(pre)
-    out = np.empty((tensor.n, weights.c_half))
-    out[~valid] = act.apply(weights.bias2d[None, :])
+    cell_out = _pair_conv(pooled, pairs, conv, len(first), act, ctx)
+    out = np.empty((tensor.n, conv.c_out))
+    out[~valid] = act.apply(conv.bias[None, :])
     out[first] = cell_out
     for rows, cells in passes:
         out[rows] = cell_out[cells]
-    if ctx is not None:
-        ctx.save(tensor=tensor, weights=weights, act=act, valid=valid,
-                 first=first, passes=passes, pooled=pooled, pre=pre, pairs=pairs)
     return out
 
 
 def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     d = ctx.require("conv2d_branch")
-    tensor, weights, act = d["tensor"], d["weights"], d["act"]
-    valid, first, passes, pooled = d["valid"], d["first"], d["passes"], d["pooled"]
-    X = tensor.features
+    conv, act, X, pooled = d["conv"], d["act"], d["tensor"].features, d["X"]
+    valid, first, passes = d["valid"], d["first"], d["passes"]
     gX = np.zeros_like(X)
 
     # Invalid-projection rows saw act(bias) only.
     g_invalid = grad_out[~valid]
     if len(g_invalid):
-        weights.g_bias2d += (
-            g_invalid * act.deriv(weights.bias2d[None, :])
-        ).sum(axis=0)
+        conv.g_bias += (g_invalid * act.deriv(conv.bias[None, :])).sum(axis=0)
     if len(first) == 0:
         return gX
 
     # The cell output gradient is the sum over member voxels.
     gpre = _cell_sum(grad_out, first, passes) * act.deriv(d["pre"])
-    g_pooled = _pair_conv_backward(pooled, d["pairs"], weights.w2d, weights.g_w2d,
-                                   weights.g_bias2d, gpre)
+    g_pooled = _pair_conv_backward(d, gpre)
 
     # Route pooled gradients to the argmax member per (cell, channel). A row
     # belongs to one cell, so no (row, channel) target repeats.
@@ -360,18 +344,13 @@ def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,
     output accumulates every input inside its receptive field
     {2*out - 1 .. 2*out + 1} per axis. Output spec doubles stride_level.
     """
-    if tensor.width != weights.w.shape[1]:
-        raise ValueError(
-            f"feature width {tensor.width} does not match kernel C_in "
-            f"{weights.w.shape[1]}"
-        )
+    _check_width(tensor, weights)
     out_spec = tensor.spec.downsampled()
     keys, parent = np.unique(padded_keys(tensor.indices // 2, out_spec.extent),
                              return_inverse=True)
     out_idx = key_rows(keys, out_spec.extent)
     pairs = tensor.pairs_at(2 * out_idx, OFFSETS_3D)
-    pre = _pair_conv(tensor.features, pairs, weights.w, weights.bias, len(out_idx))
-    out = act.apply(pre)
+    out = _pair_conv(tensor.features, pairs, weights, len(out_idx), act, ctx)
     flags = None
     if tensor.origin_flags is not None:
         # A coarse voxel's flag is the mean provenance of its finest members.
@@ -379,15 +358,9 @@ def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,
         is_virtual += (tensor.origin_flags == ORIGIN_MIXED) * 0.5
         flags = origin_flags_of(np.bincount(parent, weights=is_virtual, minlength=len(out_idx))
                                 / np.bincount(parent, minlength=len(out_idx)))
-    result = SparseVoxelTensor(out_idx, out, out_spec, flags, _validate=False)
-    if ctx is not None:
-        ctx.save(tensor=tensor, weights=weights, act=act, pre=pre, pairs=pairs)
-    return result
+    return SparseVoxelTensor(out_idx, out, out_spec, flags, _validate=False)
 
 
 def spconv_downsample_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     d = ctx.require("spconv_downsample")
-    tensor, weights, act = d["tensor"], d["weights"], d["act"]
-    gpre = grad_out * act.deriv(d["pre"])
-    return _pair_conv_backward(tensor.features, d["pairs"], weights.w, weights.g_w,
-                               weights.g_bias, gpre)
+    return _pair_conv_backward(d, grad_out * d["act"].deriv(d["pre"]))

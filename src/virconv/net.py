@@ -119,13 +119,6 @@ def fuse_early(lidar: SparsePointCloud, virtual: SparsePointCloud) -> SparsePoin
     return SparsePointCloud(np.concatenate([lidar.points, virtual.points], axis=0))
 
 
-def split_by_origin(cloud: SparsePointCloud):
-    """Inverse of fuse_early: (lidar, virtual) partitions, order preserved."""
-    lidar = SparsePointCloud(cloud.points[cloud.beta == 0.0])
-    virtual = SparsePointCloud(cloud.points[cloud.beta == 1.0])
-    return lidar, virtual
-
-
 def make_h2d_provider(calib: Calibration, record: AugmentationRecord):
     """Projection of a tensor's sites to pixel cells, cell size = stride."""
 
@@ -145,7 +138,7 @@ def virconv_block(tensor: SparseVoxelTensor, h2d_provider, spec: VirConvBlockSpe
     it.
     """
     out = layer_stvd(tensor, spec.layer_stvd_rate, rng, training)
-    h2d = h2d_provider(out) if out.n else np.zeros((0, 2), np.int64)
+    h2d = h2d_provider(out)
     for kw in weights.nrconvs:
         out = nrconv(out, h2d, kw)
     if spec.downsample:

@@ -36,12 +36,12 @@ def dense_submanifold_conv3d(tensor, weights: KernelWeights, act):
     X = tensor.features
     out = np.zeros((tensor.n, weights.c_half))
     for r, ix in enumerate(tensor.indices):
-        acc = weights.bias3d.copy()
+        acc = weights.conv3d.bias.copy()
         for k, (dx, dy, dz) in enumerate(_OFFS_3D):
             nb = (ix[0] + dx, ix[1] + dy, ix[2] + dz)
             j = table.get(nb)
             if j is not None:
-                acc = acc + X[j] @ weights.w3d[k]
+                acc = acc + X[j] @ weights.conv3d.w[k]
         out[r] = act.apply(acc)
     return out
 
@@ -59,14 +59,14 @@ def dense_conv2d_branch(tensor, h2d, weights: KernelWeights, act):
     }
     cell_out = {}
     for c in cells:
-        acc = weights.bias2d.copy()
+        acc = weights.conv2d.bias.copy()
         for k, (du, dv) in enumerate(_OFFS_2D):
             nb = (c[0] + du, c[1] + dv)
             if nb in pooled:
-                acc = acc + pooled[nb] @ weights.w2d[k]
+                acc = acc + pooled[nb] @ weights.conv2d.w[k]
         cell_out[c] = act.apply(acc)
     out = np.empty((tensor.n, weights.c_half))
-    fallback = act.apply(weights.bias2d.copy())
+    fallback = act.apply(weights.conv2d.bias.copy())
     for r in range(tensor.n):
         if h2d[r, 0] == INVALID_2D:
             out[r] = fallback

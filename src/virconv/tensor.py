@@ -144,8 +144,6 @@ class SparseVoxelTensor:
     def __init__(self, indices, features, spec, origin_flags=None, _validate=True):
         indices = np.ascontiguousarray(indices, dtype=np.int64).reshape(-1, 3)
         features = np.ascontiguousarray(features, dtype=np.float64)
-        if features.ndim == 1:
-            features = features.reshape(len(indices), -1)
         if origin_flags is not None:
             origin_flags = np.ascontiguousarray(origin_flags, dtype=np.int8)
         if _validate:
@@ -349,6 +347,8 @@ class SparseVoxelTensor:
 
 def _validate_tensor(indices, features, spec, origin_flags):
     n = len(indices)
+    if features.ndim != 2:
+        raise ValueError(f"features must be a 2-D (N, C) array, got shape {features.shape}")
     if features.shape[0] != n:
         raise ValueError(
             f"feature row count {features.shape[0]} does not match {n} indices"

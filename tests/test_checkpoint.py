@@ -13,6 +13,8 @@ from virconv.geometry import FormatError
 from virconv.stvd import bin_histogram
 from test_stvd import tensor_at_distances
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def test_checkpoint_roundtrip(tmp_path):
     spec = VirConvNetSpec.default()
@@ -23,6 +25,16 @@ def test_checkpoint_roundtrip(tmp_path):
     for (na, a, _), (nb, b, _) in zip(weights.params(), back.params()):
         assert na == nb
         assert np.array_equal(a, b)
+
+
+def test_parameter_names_match_benchmark_reference_and_manifest(tmp_path):
+    """Checkpoints and perfbench/reference.json key gradients by these names."""
+    names = [name for name, _, _ in
+             NetWeights.initialize(VirConvNetSpec.default(), SeededRng(0)).params()]
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    assert list(reference["train_default_stvd"]["0"]["grads"]) == names
+    _, manifest = saved_checkpoint(tmp_path)
+    assert [entry["name"] for entry in manifest["params"]] == names
 
 
 def test_checkpoint_rejects_bad_magic_and_shape(tmp_path):
@@ -78,13 +90,27 @@ def test_checkpoint_must_hold_each_spec_parameter_once(tmp_path, keep, match):
                                                        offset=m["params"][-1]["offset"] + 8)]),
      "does not fit in the"),
     (lambda m: dict(m, params=[dict(m["params"][0], offset=-8)] + m["params"][1:]),
-     "does not fit in the")],
+     "does not fit in the"),
+    (lambda m: dict(m, params=[dict(m["params"][0], offset=True)] + m["params"][1:]),
+     "byte offset True does not fit"),
+    (lambda m: dict(m, version=True), "an integer version")],
     ids=["list", "no-version", "no-params", "params-object", "no-offset", "name-null",
-         "past-the-end", "negative-offset"])
+         "past-the-end", "negative-offset", "offset-true", "version-true"])
 def test_malformed_checkpoint_manifest_is_format_error(tmp_path, edit, match):
     path, manifest = saved_checkpoint(tmp_path)
     write_manifest(path, edit(manifest))
     with pytest.raises(FormatError, match=match):
+        load_weights(path, VirConvNetSpec.default())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_checkpoint_data_is_format_error_naming_the_parameter(tmp_path, bad):
+    path, manifest = saved_checkpoint(tmp_path)
+    entry = manifest["params"][5]
+    blob = bytearray(path.read_bytes())
+    blob[entry["offset"] + 8: entry["offset"] + 16] = np.float64(bad).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=rf"parameter {entry['name']} holds non-finite"):
         load_weights(path, VirConvNetSpec.default())
 
 

@@ -77,6 +77,18 @@ def test_forward_rejects_a_partial_or_malformed_checkpoint(scene_dir, tmp_path, 
         assert "error:" in capsys.readouterr().err
 
 
+def test_forward_names_the_parameter_of_a_non_finite_checkpoint(scene_dir, tmp_path, capsys):
+    weights = tmp_path / "w.bin"
+    save_weights(weights, NetWeights.initialize(VirConvNetSpec.default(), SeededRng(0)))
+    entry = json.loads((tmp_path / "w.bin.json").read_text())["params"][2]
+    blob = bytearray(weights.read_bytes())
+    blob[entry["offset"]: entry["offset"] + 8] = np.float64(np.nan).tobytes()
+    weights.write_bytes(bytes(blob))
+    assert run(["forward", "--lidar", scene_dir / "lidar.bin", "--calib",
+                scene_dir / "calib.txt", "--weights", weights]) == EXIT_PARSE
+    assert f"parameter {entry['name']} holds non-finite values" in capsys.readouterr().err
+
+
 def test_forward_rejects_a_calibration_with_bad_numbers(scene_dir, tmp_path, capsys):
     calib = tmp_path / "calib.txt"
     for bad in ("abc", "nan"):
@@ -287,6 +299,39 @@ def test_bench_stvd_csv(scene_dir, tmp_path):
     assert len(rows) == 2
     baseline = rows[0]
     assert float(baseline[1]) == 0.0 and float(baseline[-1]) == 1.0
+
+
+def bench_rows(scene_dir, tmp_path, rates) -> list:
+    """The data rows of a 5-repeat bench-stvd CSV, as header -> value dicts."""
+    csv = tmp_path / "bench.csv"
+    assert run(["bench-stvd", "--scene", scene_dir, f"--sweep-rates={rates}",
+                "--repeats", 5, "--csv", csv]) == EXIT_OK
+    lines = csv.read_text().splitlines()
+    header = lines[3].split(",")
+    return [dict(zip(header, ln.split(","))) for ln in lines[4:]]
+
+
+def test_bench_stvd_speedup_is_relative_to_the_rate_zero_row_wherever_it_sits(
+        scene_dir, tmp_path):
+    rows = bench_rows(scene_dir, tmp_path, "0.9,0")
+    assert [float(r["rate"]) for r in rows] == [0.9, 0.0]
+    assert float(rows[1]["speedup"]) == 1.0
+    expected = float(rows[1]["time_ms_median"]) / float(rows[0]["time_ms_median"])
+    assert float(rows[0]["speedup"]) == pytest.approx(expected, rel=1e-2)
+
+
+def test_bench_stvd_speedup_is_nan_without_a_rate_zero_row(scene_dir, tmp_path):
+    assert [r["speedup"] for r in bench_rows(scene_dir, tmp_path, "0.9")] == ["nan"]
+
+
+@pytest.mark.parametrize("rates", ["0,abc", "", "0,,0.5"])
+def test_bench_stvd_rate_that_is_not_a_number_is_parse_error(scene_dir, tmp_path, capsys,
+                                                              rates):
+    csv = tmp_path / "bench.csv"
+    assert run(["bench-stvd", "--scene", scene_dir, f"--sweep-rates={rates}",
+                "--csv", csv]) == EXIT_PARSE
+    assert "--sweep-rates must be comma-separated numbers" in capsys.readouterr().err
+    assert not csv.exists()
 
 
 @pytest.mark.parametrize("rates", ["0,1.5", "0,1", "-0.1,0.5"])

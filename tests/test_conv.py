@@ -18,6 +18,7 @@ from virconv import (
 from virconv.conv import (
     IDENTITY,
     RELU,
+    ConvWeights,
     Ctx,
     nrconv_backward,
     spconv_downsample_backward,
@@ -56,12 +57,25 @@ def test_activation_specs():
 
 def test_kernel_weight_shapes(rng):
     kw = KernelWeights.initialize(5, 8, rng)
-    assert kw.w3d.shape == (27, 5, 4) and kw.w2d.shape == (9, 5, 4)
+    assert kw.conv3d.w.shape == (27, 5, 4) and kw.conv2d.w.shape == (9, 5, 4)
     assert kw.c_in == 5 and kw.c_half == 4 and kw.c_out == 8
     with pytest.raises(ValueError):
         KernelWeights.initialize(5, 7, rng)   # odd widths cannot split
     sw = SpconvWeights.initialize(3, 6, rng)
     assert sw.w.shape == (27, 3, 6) and sw.bias.shape == (6,)
+
+
+def test_weight_types_reject_malformed_stacks(rng):
+    c3, c2 = ConvWeights.initialize(27, 3, 2, rng), ConvWeights.initialize(9, 3, 2, rng)
+    assert KernelWeights(c3, c2).c_out == 4
+    for conv3d, conv2d in ((c2, c2), (c3, c3)):
+        with pytest.raises(ValueError, match="conv3d must stack 27 offsets and conv2d 9"):
+            KernelWeights(conv3d, conv2d)
+    with pytest.raises(ValueError, match="share the half width"):
+        KernelWeights(c3, ConvWeights.initialize(9, 3, 4, rng))
+    assert SpconvWeights(c3.w, c3.bias).c_out == 2
+    with pytest.raises(ValueError, match="w must stack 27 offsets"):
+        SpconvWeights(c2.w, c2.bias)
 
 
 def test_zero_grads_clears_every_gradient_params_returns(rng):
@@ -161,7 +175,7 @@ def test_invalid_projection_rows_get_empty_cell_output(rng):
     h2d = np.full((t.n, 2), INVALID_2D, dtype=np.int64)
     kw = KernelWeights.initialize(3, 4, rng)
     out = conv2d_branch(t, h2d, kw, LEAKY)
-    assert np.allclose(out, LEAKY.apply(kw.bias2d)[None, :])
+    assert np.allclose(out, LEAKY.apply(kw.conv2d.bias)[None, :])
 
 
 def test_pooling_ties_break_to_lowest_row():

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and only tensor.py
-touches the site-set lookup caches."""
+"""Source hygiene: no module imports a name it never uses, no private function
+or class in src/ goes unreferenced, and only tensor.py touches the site-set
+lookup caches."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,35 @@ def test_only_tensor_module_touches_lookup_caches():
 def test_cache_access_check_sees_reads_and_writes():
     src = "t._cell_map = (h, m)\nx = t._sorted[0]\ny = t.sorted_keys()\n"
     assert cache_accesses(src) == [(1, "_cell_map"), (2, "_sorted")]
+
+
+def unreferenced_private_defs(sources: dict) -> list:
+    """(file, line, name) of each private (`_name`, not dunder) function or
+    class defined in `sources` (file -> text) whose name no source uses as an
+    identifier or attribute."""
+    defs, used = [], set()
+    for path, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defs.append((path, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(d for d in defs if d[2] not in used)
+
+
+def test_every_private_definition_in_src_is_referenced():
+    sources = {str(p.relative_to(ROOT)): p.read_text()
+               for p in sorted((ROOT / "src").rglob("*.py"))}
+    found = [f"{path}:{line}: {name}" for path, line, name in unreferenced_private_defs(sources)]
+    assert not found, "private definitions nothing references:\n" + "\n".join(found)
+
+
+def test_unreferenced_private_check_flags_a_planted_leftover():
+    sources = {"a.py": ("def _used():\n    pass\n\n\nclass _Gone:\n    def _kept(self):\n"
+                        "        pass\n\n    def __init__(self):\n        self._kept()\n\n\n"
+                        "def _gone():\n    pass\n"),
+               "b.py": "from a import _used\n_used()\n"}
+    assert unreferenced_private_defs(sources) == [("a.py", 5, "_Gone"), ("a.py", 13, "_gone")]

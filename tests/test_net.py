@@ -13,7 +13,6 @@ from virconv import (
     VirConvNetSpec,
     VoxelGridSpec,
     fuse_early,
-    split_by_origin,
     virconvnet_forward,
 )
 from virconv.scene import SyntheticSceneSpec, generate_scene, synthetic_calibration
@@ -100,11 +99,9 @@ def test_input_discard_reduces_first_level():
 
 
 def test_empty_cloud_produces_empty_levels():
-    scene = small_scene()
-    lidar, _ = split_by_origin(SparsePointCloud.empty())
     levels = virconvnet_forward(
-        lidar, VirConvNetSpec.default(), StvdConfig(), synthetic_calibration(),
-        AugmentationRecord.identity(),
+        SparsePointCloud.empty(), VirConvNetSpec.default(), StvdConfig(),
+        synthetic_calibration(), AugmentationRecord.identity(),
         NetWeights.initialize(VirConvNetSpec.default(), SeededRng(0)),
         SeededRng(0), grid=GRID,
     )
@@ -112,14 +109,13 @@ def test_empty_cloud_produces_empty_levels():
     assert [t.spec.stride_level for t in levels] == [1, 2, 4, 8]
 
 
-def test_fuse_and_split_roundtrip():
+def test_fuse_keeps_lidar_rows_then_virtual_rows():
     lidar = SparsePointCloud.from_xyz([[1, 0, 0], [2, 0, 0]], alpha=[0.3, 0.4])
     virtual = SparsePointCloud.from_xyz([[3, 0, 0]], beta=1.0)
     fused = fuse_early(lidar, virtual)
     assert fused.n == 3 and list(fused.beta) == [0.0, 0.0, 1.0]
-    back_l, back_v = split_by_origin(fused)
-    assert np.array_equal(back_l.points, lidar.points)
-    assert np.array_equal(back_v.points, virtual.points)
+    assert np.array_equal(fused.points[:2], lidar.points)
+    assert np.array_equal(fused.points[2:], virtual.points)
 
 
 def test_fuse_rejects_mislabelled_clouds():

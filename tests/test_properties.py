@@ -61,14 +61,14 @@ def brute_conv2d_input_grad(X, h2d, w, act, grad_out):
     pooled = {cell: X[rows].max(axis=0) for cell, rows in members.items()}
     g_pooled = {cell: np.zeros(X.shape[1]) for cell in members}
     for (u, v), rows in members.items():
-        pre = w.bias2d.copy()
+        pre = w.conv2d.bias.copy()
         for k, (du, dv) in enumerate(OFFS_2D):
             if (u + du, v + dv) in pooled:
-                pre = pre + pooled[(u + du, v + dv)] @ w.w2d[k]
+                pre = pre + pooled[(u + du, v + dv)] @ w.conv2d.w[k]
         gpre = grad_out[rows].sum(axis=0) * act.deriv(pre)
         for k, (du, dv) in enumerate(OFFS_2D):
             if (u + du, v + dv) in pooled:
-                g_pooled[(u + du, v + dv)] += gpre @ w.w2d[k].T
+                g_pooled[(u + du, v + dv)] += gpre @ w.conv2d.w[k].T
     gX = np.zeros_like(X)
     for cell, rows in members.items():
         for ch in range(X.shape[1]):

@@ -39,6 +39,13 @@ def test_row_count_and_finiteness_rejected():
         SparseVoxelTensor([[0, 0, 0]], np.zeros((1, 1)), SPEC, origin_flags=[0, 1])
 
 
+def test_features_that_are_not_2d_rejected():
+    for idx, feats in (([[0, 0, 0], [1, 0, 0]], np.zeros(2)), (np.zeros((0, 3)), np.zeros(0)),
+                       ([[0, 0, 0]], np.zeros((1, 1, 1)))):
+        with pytest.raises(ValueError, match=r"features must be a 2-D \(N, C\) array"):
+            SparseVoxelTensor(idx, feats, SPEC)
+
+
 def test_arrays_are_frozen():
     t = SparseVoxelTensor([[0, 0, 0]], np.ones((1, 2)), SPEC)
     with pytest.raises(ValueError):
