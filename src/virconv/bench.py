@@ -75,8 +75,7 @@ def _median(vals):
     return float(np.median(np.asarray(vals)))
 
 
-def run_sweep(scene_dir, rates, repeats: int, seed: int,
-              base_cfg: StvdConfig = None) -> list:
+def run_sweep(scene_dir, rates, repeats: int, seed: int) -> list:
     """Run the backbone forward at each discard rate; R timed runs each."""
     if repeats < 5:
         raise ValueError("repeats must be >= 5 for stable medians")
@@ -85,7 +84,7 @@ def run_sweep(scene_dir, rates, repeats: int, seed: int,
     scene = load_scene(scene_dir)
     calib = load_scene_calib(scene_dir)
     cloud = fuse_early(scene.lidar, scene.virtual)
-    base_cfg = base_cfg or StvdConfig()
+    base_cfg = StvdConfig()
     grid = default_grid_spec()
     record = AugmentationRecord.identity()
     spec = VirConvNetSpec.default()

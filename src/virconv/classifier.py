@@ -44,6 +44,11 @@ CLASSIFIER_GRID = VoxelGridSpec(
 # compare each voxel's depth with its on-image neighbours.
 CLASSIFIER_PIXEL_CELL = 3
 
+CLASSIFIER_C_IN = 5     # voxelize's features per voxel
+CLASSIFIER_C_MID = 8    # conv features per voxel fed to the linear head
+CLASSIFIER_EPOCHS = 120
+CLASSIFIER_LR = 0.8
+
 
 def default_classifier_scene_spec() -> SyntheticSceneSpec:
     """Scene recipe for the noise-classification study: distant objects only.
@@ -69,17 +74,17 @@ class VoxelDataset:
     labels: np.ndarray   # bool per voxel: majority of member points displaced
 
 
-def scene_to_dataset(scene: Scene, grid: VoxelGridSpec = CLASSIFIER_GRID,
-                     pixel_cell: int = CLASSIFIER_PIXEL_CELL) -> VoxelDataset:
+def scene_to_dataset(scene: Scene) -> VoxelDataset:
+    """Virtual voxels on CLASSIFIER_GRID with CLASSIFIER_PIXEL_CELL cells."""
     # Only the virtual cloud carries displaced points; including real returns
     # would let either head lean on the provenance flag instead of geometry.
-    tensor = voxelize(scene.virtual, grid)
+    tensor = voxelize(scene.virtual, CLASSIFIER_GRID)
     rows = voxel_row_of_points(scene.virtual, tensor)
     kept = rows >= 0
     noisy = np.bincount(rows[kept], weights=scene.noise_labels[kept], minlength=tensor.n)
     labels = noisy / np.bincount(rows[kept], minlength=tensor.n) > 0.5
     h2d = project_voxels(tensor, AugmentationRecord.identity(),
-                         synthetic_calibration(), pixel_cell=pixel_cell)
+                         synthetic_calibration(), pixel_cell=CLASSIFIER_PIXEL_CELL)
     return VoxelDataset(tensor=tensor, h2d=h2d, labels=labels)
 
 
@@ -93,19 +98,19 @@ def _normalize(tensor):
 
 
 class NoiseClassifier:
-    """Conv layer + linear head producing one logit per voxel."""
+    """Conv layer to CLASSIFIER_C_MID features + linear head: one logit per voxel."""
 
-    def __init__(self, head: str, c_in: int = 5, c_mid: int = 8, rng: SeededRng = None):
+    def __init__(self, head: str, rng: SeededRng):
         if head not in (HEAD_NRCONV, HEAD_CONV3D):
             raise ValueError(f"unknown head {head!r}")
         self.head = head
         # The 3D-only variant uses the full width through the 3D stack so the
         # two heads expose the same feature budget to the linear layer.
-        self.kw = KernelWeights.initialize(c_in, 2 * c_mid if head == HEAD_CONV3D else c_mid, rng)
-        self.c_feat = self.kw.c_half if head == HEAD_CONV3D else c_mid
+        c_out = 2 * CLASSIFIER_C_MID if head == HEAD_CONV3D else CLASSIFIER_C_MID
+        self.kw = KernelWeights.initialize(CLASSIFIER_C_IN, c_out, rng)
         self.act = ActivationSpec("leaky_relu", 0.1)
-        bound = 1.0 / np.sqrt(self.c_feat)
-        self.w_lin = rng.gen.uniform(-bound, bound, self.c_feat)
+        bound = 1.0 / np.sqrt(CLASSIFIER_C_MID)
+        self.w_lin = rng.gen.uniform(-bound, bound, CLASSIFIER_C_MID)
         self.b_lin = 0.0
 
     def logits(self, ds: VoxelDataset, ctx: Ctx = None):
@@ -170,10 +175,8 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def train_noise_classifier(train_scenes, eval_scenes, head: str,
-                           epochs: int = 120, lr: float = 0.8,
-                           rng: SeededRng = None) -> dict:
-    """Train on one scene set, report held-out AUC on another.
+def train_noise_classifier(train_scenes, eval_scenes, head: str, rng: SeededRng) -> dict:
+    """Train CLASSIFIER_EPOCHS steps at CLASSIFIER_LR, report held-out AUC.
 
     Fully deterministic given the rng seed and scene set.
     """
@@ -181,8 +184,8 @@ def train_noise_classifier(train_scenes, eval_scenes, head: str,
     eval_ds = [scene_to_dataset(s) for s in eval_scenes]
     model = NoiseClassifier(head=head, rng=rng)
     losses = []
-    for _ in range(epochs):
-        losses.append(model.train_step(train_ds, lr))
+    for _ in range(CLASSIFIER_EPOCHS):
+        losses.append(model.train_step(train_ds, CLASSIFIER_LR))
     scores = np.concatenate([model.scores(ds) for ds in eval_ds])
     labels = np.concatenate([ds.labels for ds in eval_ds])
     return {

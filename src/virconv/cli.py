@@ -149,7 +149,7 @@ def cmd_gradcheck(args) -> int:
     else:
         weights = KernelWeights.initialize(c_in, c_out, rng)
     err, checked, skipped = gradcheck(args.op, tensor, h2d, weights, act, rng,
-                                      num_probes=100, corrupt=args.corrupt)
+                                      num_probes=100)
     ok = err < 1e-4 and checked > 0 and checked >= MIN_CHECKED_SHARE * (checked + skipped)
     print(f"op={args.op} size={size} max_rel_err={err:.3e} checked={checked} "
           f"skipped={skipped} {'PASS' if ok else 'FAIL'} (tolerance 1e-4, "
@@ -245,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--size", type=int, default=6)
-    g.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     g.set_defaults(func=cmd_gradcheck)
 
     s = sub.add_parser("synth", help="generate a synthetic scene directory")

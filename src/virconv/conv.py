@@ -128,6 +128,8 @@ class KernelWeights:
             raise ValueError("conv3d must stack 27 offsets and conv2d 9")
         if self.conv3d.c_out != self.conv2d.c_out:
             raise ValueError("3D and 2D branches must share the half width")
+        if self.conv3d.c_in != self.conv2d.c_in:
+            raise ValueError("3D and 2D branches must share the input width")
 
     @property
     def c_in(self) -> int:
@@ -353,7 +355,9 @@ def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,
     out = _pair_conv(tensor.features, pairs, weights, len(out_idx), act, ctx)
     flags = None
     if tensor.origin_flags is not None:
-        # A coarse voxel's flag is the mean provenance of its finest members.
+        # A coarse voxel's flag is the mean of its input rows' flags, counting
+        # LiDAR as 0, mixed as 0.5 and virtual as 1. Each input row counts
+        # once, whatever mix of finer voxels it stands for.
         is_virtual = (tensor.origin_flags == ORIGIN_VIRTUAL) * 1.0
         is_virtual += (tensor.origin_flags == ORIGIN_MIXED) * 0.5
         flags = origin_flags_of(np.bincount(parent, weights=is_virtual, minlength=len(out_idx))

@@ -25,19 +25,20 @@ from .stvd import StvdConfig, input_stvd, layer_stvd
 from .tensor import SparseVoxelTensor, VoxelGridSpec
 
 
+# Noise-resistant conv layers per block, as in the paper's backbone.
+NRCONV_LAYERS_PER_BLOCK = 2
+
+
 @dataclass(frozen=True)
 class VirConvBlockSpec:
     c_in: int
     c_out: int
-    num_nrconv_layers: int = 2
     layer_stvd_rate: float = 0.15
     downsample: bool = True
 
     def __post_init__(self):
         if self.c_out % 2:
             raise ValueError("c_out must be even")
-        if self.num_nrconv_layers < 1:
-            raise ValueError("num_nrconv_layers must be positive")
         if not (0.0 <= self.layer_stvd_rate < 1.0):
             raise ValueError("layer_stvd_rate must lie in [0, 1)")
 
@@ -47,21 +48,10 @@ class VirConvNetSpec:
     blocks: tuple
 
     @classmethod
-    def default(cls, c_in: int = 5, layer_stvd_rate: float = 0.15) -> "VirConvNetSpec":
-        widths = (16, 32, 64, 64)
-        blocks = []
-        prev = c_in
-        for i, w in enumerate(widths):
-            blocks.append(
-                VirConvBlockSpec(
-                    c_in=prev,
-                    c_out=w,
-                    layer_stvd_rate=layer_stvd_rate,
-                    downsample=(i > 0),
-                )
-            )
-            prev = w
-        return cls(blocks=tuple(blocks))
+    def default(cls) -> "VirConvNetSpec":
+        widths = (5, 16, 32, 64, 64)   # voxelize's 5 features, then each block's output
+        return cls(blocks=tuple(VirConvBlockSpec(c_in=c_in, c_out=c_out, downsample=i > 0)
+                                for i, (c_in, c_out) in enumerate(zip(widths, widths[1:]))))
 
 
 @dataclass
@@ -73,7 +63,7 @@ class BlockWeights:
     def initialize(cls, spec: VirConvBlockSpec, rng: SeededRng) -> "BlockWeights":
         layers = []
         c = spec.c_in
-        for _ in range(spec.num_nrconv_layers):
+        for _ in range(NRCONV_LAYERS_PER_BLOCK):
             layers.append(KernelWeights.initialize(c, spec.c_out, rng))
             c = spec.c_out
         down = SpconvWeights.initialize(c, spec.c_out, rng) if spec.downsample else None

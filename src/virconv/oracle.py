@@ -122,6 +122,9 @@ def neighbors_3d_bruteforce(tensor: SparseVoxelTensor, row: int):
 # Share of the probes that must be compared for a check to count.
 MIN_CHECKED_SHARE = 0.9
 
+# Central-difference step applied to each probed parameter or feature.
+FD_STEP = 1e-4
+
 _FORWARD = {
     "conv3d": lambda t, h2d, w, act, ctx=None: submanifold_conv3d(t, w, act, ctx).features,
     "conv2d": lambda t, h2d, w, act, ctx=None: conv2d_branch(t, h2d, w, act, ctx),
@@ -136,9 +139,9 @@ _BACKWARD = {
 }
 
 
-def gradcheck(op: str, tensor, h2d, weights, act, rng, num_probes=100,
-              step=1e-4, corrupt=False):
-    """Compare analytic gradients against central finite differences.
+def gradcheck(op: str, tensor, h2d, weights, act, rng, num_probes=100):
+    """Compare analytic gradients against central finite differences of
+    step FD_STEP.
 
     The scalar loss is the sum of all outputs. Probes num_probes randomly
     chosen parameters (weights, biases, and input features). Returns
@@ -146,13 +149,11 @@ def gradcheck(op: str, tensor, h2d, weights, act, rng, num_probes=100,
     probes, where relative means |analytic - fd| / max(1, |fd|), and how many
     probes were compared and skipped. A caller must not read max_err as a
     pass unless checked is at least MIN_CHECKED_SHARE of the probes.
-    The corrupt flag perturbs the analytic weight gradient; it exists as a
-    negative-control hook for tests.
 
     Probes that straddle a non-differentiable point (an activation kink or a
-    pooling argmax switch) are detected by comparing central differences at
-    two step sizes and skipped: a finite difference is not an estimate of the
-    derivative there, so any comparison would be meaningless.
+    pooling argmax switch) are detected by comparing the forward and backward
+    one-sided differences and skipped: a finite difference is not an
+    estimate of the derivative there, so any comparison would be meaningless.
     """
     forward, backward = _FORWARD[op], _BACKWARD[op]
     weights.zero_grads()
@@ -161,9 +162,6 @@ def gradcheck(op: str, tensor, h2d, weights, act, rng, num_probes=100,
     gX = backward(ctx, np.ones_like(out))
     analytic = {name: g.copy() for name, _, g in weights.params()}
     analytic["features"] = gX
-    if corrupt:
-        first = weights.params()[0][0]
-        analytic[first] = analytic[first] + 1.0
 
     slots = []
     for name, arr, _ in weights.params():
@@ -190,14 +188,14 @@ def gradcheck(op: str, tensor, h2d, weights, act, rng, num_probes=100,
         base = arrays[name].ravel()[flat]
 
         f0 = loss_at(name, flat, base)
-        f_plus = loss_at(name, flat, base + step)
-        f_minus = loss_at(name, flat, base - step)
-        fd = (f_plus - f_minus) / (2 * step)
+        f_plus = loss_at(name, flat, base + FD_STEP)
+        f_minus = loss_at(name, flat, base - FD_STEP)
+        fd = (f_plus - f_minus) / (2 * FD_STEP)
         # One-sided slopes disagree exactly when the probe interval contains
         # a kink (including a kink sitting at the base point itself, which a
         # central difference alone cannot see); skip such probes.
-        fwd = (f_plus - f0) / step
-        bwd = (f0 - f_minus) / step
+        fwd = (f_plus - f0) / FD_STEP
+        bwd = (f0 - f_minus) / FD_STEP
         if abs(fwd - bwd) / max(1.0, abs(fd)) > 1e-5:
             skipped += 1
             continue

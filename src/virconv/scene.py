@@ -205,10 +205,11 @@ def _shifted(a: np.ndarray, dv: int, du: int, fill) -> np.ndarray:
     return out
 
 
-def silhouette_boundary(ids: np.ndarray, band: int = BOUNDARY_BAND_PX) -> np.ndarray:
-    """Instance pixels within `band` pixels of a different-id pixel."""
+def silhouette_boundary(ids: np.ndarray) -> np.ndarray:
+    """Instance pixels within BOUNDARY_BAND_PX pixels of a different-id pixel."""
     edge = np.zeros_like(ids, dtype=bool)
     occupied = ids >= 0
+    band = BOUNDARY_BAND_PX
     for du in range(-band, band + 1):
         for dv in range(-band, band + 1):
             if du == 0 and dv == 0:

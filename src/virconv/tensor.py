@@ -142,7 +142,11 @@ class SparseVoxelTensor:
     """
 
     def __init__(self, indices, features, spec, origin_flags=None, _validate=True):
-        indices = np.ascontiguousarray(indices, dtype=np.int64).reshape(-1, 3)
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        if indices.size == 0:
+            indices = indices.reshape(0, 3)
+        elif indices.ndim != 2 or indices.shape[1] != 3:
+            raise ValueError(f"indices must be an (N, 3) array, got shape {indices.shape}")
         features = np.ascontiguousarray(features, dtype=np.float64)
         if origin_flags is not None:
             origin_flags = np.ascontiguousarray(origin_flags, dtype=np.int8)
@@ -305,8 +309,8 @@ class SparseVoxelTensor:
         self._cell_map = (h2d, (valid, first, passes, pairs))
         return self._cell_map[1]
 
-    def with_features(self, features, origin_flags="keep") -> "SparseVoxelTensor":
-        """Same sites, new feature matrix. Shares index storage and caches."""
+    def with_features(self, features) -> "SparseVoxelTensor":
+        """Same sites and flags, new feature matrix. Shares index storage and caches."""
         features = np.ascontiguousarray(features, dtype=np.float64)
         if len(features) != self.n:
             raise ValueError(
@@ -314,8 +318,8 @@ class SparseVoxelTensor:
             )
         if not np.isfinite(features).all():
             raise ValueError("features must be finite")
-        flags = self.origin_flags if origin_flags == "keep" else origin_flags
-        out = SparseVoxelTensor(self.indices, features, self.spec, flags, _validate=False)
+        out = SparseVoxelTensor(self.indices, features, self.spec, self.origin_flags,
+                                _validate=False)
         out._sorted, out._kernel_map, out._cell_map = (
             self._sorted, self._kernel_map, self._cell_map)
         return out
@@ -339,6 +343,7 @@ class SparseVoxelTensor:
             },
             "indices": self.indices.tolist(),
             "features": self.features.tolist(),
+            "width": self.width,
         }
         if self.origin_flags is not None:
             d["origin_flags"] = self.origin_flags.tolist()

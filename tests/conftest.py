@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from virconv import SeededRng, SparseVoxelTensor, VoxelGridSpec
+from virconv import SeededRng, SparseVoxelTensor, VoxelGridSpec, oracle
 from virconv.geometry import INVALID_2D
 
 
@@ -32,6 +32,19 @@ def random_h2d(rng: SeededRng, n: int, span=6, invalid_frac=0.1) -> np.ndarray:
     bad = rng.gen.random(n) < invalid_frac
     h2d[bad] = INVALID_2D
     return h2d
+
+
+def corrupt_conv3d_gradient(monkeypatch):
+    """Make gradcheck's conv3d backward add 1.0 to every weight gradient after
+    the real backward ran, a negative control for the finite-difference check."""
+    real = oracle._BACKWARD["conv3d"]
+
+    def corrupted(ctx, grad_out):
+        gX = real(ctx, grad_out)
+        ctx.require("submanifold_conv3d")["conv"].g_w += 1.0
+        return gX
+
+    monkeypatch.setitem(oracle._BACKWARD, "conv3d", corrupted)
 
 
 @pytest.fixture

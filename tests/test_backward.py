@@ -4,7 +4,7 @@ import pytest
 
 from virconv import ActivationSpec, KernelWeights, SeededRng, SpconvWeights
 from virconv.oracle import MIN_CHECKED_SHARE, gradcheck
-from conftest import random_h2d, random_tensor
+from conftest import corrupt_conv3d_gradient, random_h2d, random_tensor
 
 LEAKY = ActivationSpec("leaky_relu", 0.1)
 
@@ -28,10 +28,10 @@ def test_gradients_match_finite_differences(op):
     assert err < 1e-6, f"{op}: max relative error {err:.3e}"
 
 
-def test_gradcheck_detects_corrupted_gradient():
+def test_gradcheck_detects_corrupted_gradient(monkeypatch):
+    corrupt_conv3d_gradient(monkeypatch)
     t, h2d, w, rng = setup_case("conv3d", seed=3)
-    err, checked, _ = gradcheck("conv3d", t, h2d, w, LEAKY, rng, num_probes=40,
-                                corrupt=True)
+    err, checked, _ = gradcheck("conv3d", t, h2d, w, LEAKY, rng, num_probes=40)
     assert checked > 0 and err > 1e-4
 
 

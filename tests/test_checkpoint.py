@@ -1,6 +1,7 @@
 """Weight checkpoints and benchmark bookkeeping helpers."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ def test_checkpoint_rejects_bad_magic_and_shape(tmp_path):
     with pytest.raises(ValueError, match="magic"):
         load_weights(path, spec)
     path.write_bytes(blob)
-    narrow = VirConvNetSpec.default(c_in=4)
+    narrow = VirConvNetSpec((replace(spec.blocks[0], c_in=4),) + spec.blocks[1:])
     with pytest.raises(ValueError, match="shape"):
         load_weights(path, narrow)
 

@@ -11,6 +11,7 @@ from virconv.checkpoint import save_weights
 from virconv.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, main
 from virconv.geometry import read_fused_bin
 from virconv.scene import SyntheticSceneSpec, generate_scene, save_scene
+from conftest import corrupt_conv3d_gradient
 
 
 @pytest.fixture(scope="module")
@@ -267,10 +268,11 @@ def test_fuse_roundtrip(scene_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_gradcheck_command_passes_and_detects_corruption(capsys):
+def test_gradcheck_command_passes_and_detects_corruption(monkeypatch, capsys):
     assert run(["gradcheck", "--op", "nrconv", "--seed", 2, "--size", 5]) == EXIT_OK
     assert "PASS" in capsys.readouterr().out
-    assert run(["gradcheck", "--op", "conv3d", "--size", 5, "--corrupt"]) == 1
+    corrupt_conv3d_gradient(monkeypatch)
+    assert run(["gradcheck", "--op", "conv3d", "--size", 5]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 

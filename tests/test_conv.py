@@ -65,6 +65,12 @@ def test_kernel_weight_shapes(rng):
     assert sw.w.shape == (27, 3, 6) and sw.bias.shape == (6,)
 
 
+def test_kernel_weights_reject_branches_of_different_input_widths(rng):
+    # Checked when the layer is built, not once nrconv has run its 3D half.
+    with pytest.raises(ValueError, match="share the input width"):
+        KernelWeights(ConvWeights.initialize(27, 3, 2, rng), ConvWeights.initialize(9, 4, 2, rng))
+
+
 def test_weight_types_reject_malformed_stacks(rng):
     c3, c2 = ConvWeights.initialize(27, 3, 2, rng), ConvWeights.initialize(9, 3, 2, rng)
     assert KernelWeights(c3, c2).c_out == 4

@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, no private function
-or class in src/ goes unreferenced, and only tensor.py touches the site-set
-lookup caches."""
+or class in src/ goes unreferenced, only tensor.py touches the site-set
+lookup caches, and no defaulted parameter in src/ goes unpassed."""
 
 import ast
 from pathlib import Path
@@ -104,3 +104,81 @@ def test_unreferenced_private_check_flags_a_planted_leftover():
                         "def _gone():\n    pass\n"),
                "b.py": "from a import _used\n_used()\n"}
     assert unreferenced_private_defs(sources) == [("a.py", 5, "_Gone"), ("a.py", 13, "_gone")]
+
+
+# Defaulted parameters that stay although no call in src/ or perfbench/ passes
+# them: (callee, parameter) -> reason.
+UNPASSED_ALLOWED = {
+    ("main", "argv"): "the in-process entry point; the console script passes nothing",
+}
+
+
+def unpassed_defaults(defined: dict, callers: dict) -> list:
+    """(file, line, callee, parameter) of each defaulted parameter of a
+    function, method or class `__init__` in `defined` (file -> text) that no
+    call in `callers` passes, by keyword or by enough positional arguments.
+    The callee is the def's name, or the class name for an `__init__`.
+
+    Calls match by name: `f(...)` and `x.f(...)` call every def named f, and
+    `C(...)` calls `C.__init__`. A call that splats `*args` or `**kwargs`
+    passes everything. A method's first parameter is its receiver, unless it
+    is a staticmethod.
+    """
+    calls = {}
+    for text in callers.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                splat = (any(isinstance(a, ast.Starred) for a in node.args)
+                         or any(k.arg is None for k in node.keywords))
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}, splat))
+    found = []
+    for path, text in defined.items():
+        tree = ast.parse(text)
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args, name = node.args, node.name
+            positional = args.posonlyargs + args.args
+            if id(node) in owner:
+                if "staticmethod" not in (getattr(d, "id", None) for d in node.decorator_list):
+                    positional = positional[1:]
+                if name == "__init__":
+                    name = owner[id(node)]
+            first = len(positional) - len(args.defaults)
+            params = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+            params += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            for arg, i in params:
+                if not any(splat or arg in kws or (i is not None and n > i)
+                           for n, kws, splat in calls.get(name, [])):
+                    found.append((path, node.lineno, name, arg))
+    return sorted(found)
+
+
+def test_every_defaulted_parameter_in_src_has_a_caller_that_sets_it():
+    src = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    callers = dict(src, **{str(p.relative_to(ROOT)): p.read_text()
+                           for p in sorted((ROOT / "perfbench").rglob("*.py"))})
+    found = [f"{path}:{line}: {name}({arg}=)"
+             for path, line, name, arg in unpassed_defaults(src, callers)
+             if (name, arg) not in UNPASSED_ALLOWED]
+    assert not found, ("defaulted parameters no call in src/ or perfbench/ passes "
+                       "(use the default in their place):\n" + "\n".join(found))
+
+
+def test_unpassed_default_check_flags_a_planted_parameter():
+    defined = {"a.py": ("def f(x, y=1, z=2, *, k=3, j=4):\n    pass\n\n\n"
+                        "class C:\n    def __init__(self, a, b=0):\n        pass\n\n"
+                        "    def m(self, c=0, d=0):\n        pass\n\n"
+                        "    @staticmethod\n    def s(e=0, g=0):\n        pass\n")}
+    callers = {"b.py": "f(0, 1)\nf(0, k=4)\nC(1)\nobj.m(5)\nC.s(1)\n",
+               "c.py": "g(**opts)\n"}
+    assert unpassed_defaults(defined, callers) == [
+        ("a.py", 1, "f", "j"), ("a.py", 1, "f", "z"), ("a.py", 6, "C", "b"),
+        ("a.py", 9, "m", "d"), ("a.py", 13, "s", "g")]
+    callers["c.py"] = "C(*args)\n"
+    assert ("a.py", 6, "C", "b") not in unpassed_defaults(defined, callers)

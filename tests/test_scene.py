@@ -6,6 +6,7 @@ import pytest
 from virconv import SeededRng
 from virconv.geometry import project_to_image
 from virconv.scene import (
+    BOUNDARY_BAND_PX,
     IMAGE_H,
     IMAGE_W,
     SyntheticSceneSpec,
@@ -63,13 +64,13 @@ def test_noise_sits_on_silhouette_boundary(scene):
 def test_boundary_band_marks_object_rim_only():
     ids = np.full((20, 20), -1)
     ids[5:15, 5:15] = 0
-    b = silhouette_boundary(ids, band=1)
-    assert b[10, 5]                   # on the object rim
+    b = silhouette_boundary(ids)
+    assert BOUNDARY_BAND_PX == 2
+    assert b[10, 5] and b[10, 6]      # the 2-pixel object rim
+    assert not b[10, 7]               # just inside the band
     assert not b[10, 4]               # background pixels are never marked
     assert not b[10, 10]              # interior
     assert not b[0, 0]                # far background
-    wide = silhouette_boundary(ids, band=3)
-    assert wide[10, 7] and not wide[10, 9]
 
 
 def test_overcrowded_spec_raises():

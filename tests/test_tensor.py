@@ -1,5 +1,7 @@
 """Sparse tensor container: validation, lookup, immutability, neighborhoods."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,15 @@ def test_features_that_are_not_2d_rejected():
                        ([[0, 0, 0]], np.zeros((1, 1, 1)))):
         with pytest.raises(ValueError, match=r"features must be a 2-D \(N, C\) array"):
             SparseVoxelTensor(idx, feats, SPEC)
+
+
+def test_indices_that_are_not_n_by_3_rejected():
+    for idx in (np.arange(12).reshape(6, 2), np.arange(3), np.zeros((2, 3, 1))):
+        with pytest.raises(ValueError, match=r"indices must be an \(N, 3\) array"):
+            SparseVoxelTensor(idx, np.zeros((4, 1)), SPEC)
+    # An empty array of any shape is zero sites.
+    for idx in ([], np.zeros((0, 2))):
+        assert SparseVoxelTensor(idx, np.zeros((0, 1)), SPEC).indices.shape == (0, 3)
 
 
 def test_arrays_are_frozen():
@@ -127,11 +138,16 @@ def test_neighbors_center_always_present(rng):
 
 
 def test_debug_dict_roundtrip(rng):
-    t = random_tensor(rng, with_flags=True)
-    d = t.to_debug_dict()
-    rebuilt = SparseVoxelTensor(d["indices"], d["features"], t.spec, d["origin_flags"])
-    assert np.array_equal(rebuilt.indices, t.indices)
-    assert np.allclose(rebuilt.features, t.features)
+    full = random_tensor(rng, c=16, with_flags=True)
+    for t in (full, full.take_rows(np.zeros(0, np.int64))):
+        d = json.loads(json.dumps(t.to_debug_dict()))
+        assert d["width"] == 16
+        rebuilt = SparseVoxelTensor(d["indices"], np.reshape(d["features"], (-1, d["width"])),
+                                    VoxelGridSpec(**d["spec"]), d["origin_flags"])
+        assert rebuilt.n == t.n and rebuilt.width == 16
+        assert np.array_equal(rebuilt.indices, t.indices)
+        assert np.array_equal(rebuilt.features, t.features)
+        assert np.array_equal(rebuilt.origin_flags, t.origin_flags)
 
 
 @settings(deadline=None, max_examples=40)
