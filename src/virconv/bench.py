@@ -39,7 +39,7 @@ class BenchReport:
     voxels_after: int
     stage_ms: dict = field(default_factory=dict)   # medians per stage
     time_ms_median: float = 0.0
-    speedup: float = 1.0
+    speedup: float = field(init=False)   # set by run_sweep once every rate ran
     seed: int = 0
     config_hash: str = ""
 

@@ -20,10 +20,10 @@ from .conv import (
     submanifold_conv3d,
     submanifold_conv3d_backward,
 )
-from .geometry import AugmentationRecord, project_voxels, voxel_row_of_points, voxelize
+from .geometry import AugmentationRecord, point_indices, project_voxels, voxelize
 from .rng import SeededRng
 from .scene import Scene, SyntheticSceneSpec, synthetic_calibration
-from .tensor import VoxelGridSpec
+from .tensor import VoxelGridSpec, site_means
 
 HEAD_NRCONV = "nrconv_head"
 HEAD_CONV3D = "conv3d_head"
@@ -79,10 +79,9 @@ def scene_to_dataset(scene: Scene) -> VoxelDataset:
     # Only the virtual cloud carries displaced points; including real returns
     # would let either head lean on the provenance flag instead of geometry.
     tensor = voxelize(scene.virtual, CLASSIFIER_GRID)
-    rows = voxel_row_of_points(scene.virtual, tensor)
-    kept = rows >= 0
-    noisy = np.bincount(rows[kept], weights=scene.noise_labels[kept], minlength=tensor.n)
-    labels = noisy / np.bincount(rows[kept], minlength=tensor.n) > 0.5
+    _, noisy = site_means(point_indices(scene.virtual, CLASSIFIER_GRID),
+                          scene.noise_labels[:, None], CLASSIFIER_GRID)
+    labels = noisy[:, 0] > 0.5
     h2d = project_voxels(tensor, AugmentationRecord.identity(),
                          synthetic_calibration(), pixel_cell=CLASSIFIER_PIXEL_CELL)
     return VoxelDataset(tensor=tensor, h2d=h2d, labels=labels)

@@ -35,15 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import SeededRng
-from .tensor import (
-    OFFSETS_3D,
-    ORIGIN_MIXED,
-    ORIGIN_VIRTUAL,
-    SparseVoxelTensor,
-    key_rows,
-    origin_flags_of,
-    padded_keys,
-)
+from .tensor import OFFSETS_3D, SparseVoxelTensor
 
 
 @dataclass(frozen=True)
@@ -84,12 +76,11 @@ class ConvWeights:
 
     w: np.ndarray      # (K, C_in, C_out)
     bias: np.ndarray   # (C_out,)
-    g_w: np.ndarray = field(default=None, repr=False)
-    g_bias: np.ndarray = field(default=None, repr=False)
+    g_w: np.ndarray = field(init=False, repr=False)
+    g_bias: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.g_w is None:
-            self.g_w, self.g_bias = np.zeros_like(self.w), np.zeros_like(self.bias)
+        self.g_w, self.g_bias = np.zeros_like(self.w), np.zeros_like(self.bias)
 
     @property
     def c_in(self) -> int:
@@ -342,26 +333,15 @@ def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,
                       act: ActivationSpec = RELU, ctx: Ctx = None) -> SparseVoxelTensor:
     """Kernel-3 / stride-2 / padding-1 convolution onto the halved grid.
 
-    Output sites are the unique floor(index / 2) of the input sites; each
-    output accumulates every input inside its receptive field
-    {2*out - 1 .. 2*out + 1} per axis. Output spec doubles stride_level.
+    Output sites are the unique floor(index / 2) of the input sites, with
+    flags, from tensor.downsampled_sites(); each output accumulates every
+    input inside its receptive field {2*out - 1 .. 2*out + 1} per axis.
+    Output spec doubles stride_level.
     """
     _check_width(tensor, weights)
-    out_spec = tensor.spec.downsampled()
-    keys, parent = np.unique(padded_keys(tensor.indices // 2, out_spec.extent),
-                             return_inverse=True)
-    out_idx = key_rows(keys, out_spec.extent)
+    out_spec, out_idx, flags = tensor.downsampled_sites()
     pairs = tensor.pairs_at(2 * out_idx, OFFSETS_3D)
     out = _pair_conv(tensor.features, pairs, weights, len(out_idx), act, ctx)
-    flags = None
-    if tensor.origin_flags is not None:
-        # A coarse voxel's flag is the mean of its input rows' flags, counting
-        # LiDAR as 0, mixed as 0.5 and virtual as 1. Each input row counts
-        # once, whatever mix of finer voxels it stands for.
-        is_virtual = (tensor.origin_flags == ORIGIN_VIRTUAL) * 1.0
-        is_virtual += (tensor.origin_flags == ORIGIN_MIXED) * 0.5
-        flags = origin_flags_of(np.bincount(parent, weights=is_virtual, minlength=len(out_idx))
-                                / np.bincount(parent, minlength=len(out_idx)))
     return SparseVoxelTensor(out_idx, out, out_spec, flags, _validate=False)
 
 

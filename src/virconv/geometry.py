@@ -18,10 +18,8 @@ from .tensor import (
     INVALID_2D,
     SparseVoxelTensor,
     VoxelGridSpec,
-    inside_extent,
-    key_rows,
     origin_flags_of,
-    padded_keys,
+    site_means,
 )
 
 MIN_CAMERA_DEPTH = 0.1  # meters; projections at or behind this are invalid
@@ -156,26 +154,8 @@ def voxelize(cloud: SparsePointCloud, spec: VoxelGridSpec) -> SparseVoxelTensor:
     so the beta column is the virtual-point fraction and sets the origin
     flag (origin_flags_of).
     """
-    idx = point_indices(cloud, spec)
-    # Cropped points share key -1, which sorts first and is dropped below.
-    keys = padded_keys(idx, spec.extent)
-    keys[~inside_extent(idx, spec.extent)] = -1
-    uniq_keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    drop = int(len(uniq_keys) > 0 and uniq_keys[0] == -1)
-    m = len(uniq_keys) - drop
-    # bincount adds in point order, as np.add.at would.
-    feats = np.empty((m, 5))
-    for j in range(5):
-        feats[:, j] = np.bincount(inverse, weights=cloud.points[:, j],
-                                  minlength=len(uniq_keys))[drop:]
-    feats /= counts[drop:, None]
-    vox = key_rows(uniq_keys[drop:], spec.extent)
-    return SparseVoxelTensor(vox, feats, spec, origin_flags_of(feats[:, 4]), _validate=False)
-
-
-def voxel_row_of_points(cloud: SparsePointCloud, tensor: SparseVoxelTensor) -> np.ndarray:
-    """Row position of each point's voxel in `tensor`, -1 for cropped points."""
-    return tensor.find_rows(point_indices(cloud, tensor.spec))
+    sites, feats = site_means(point_indices(cloud, spec), cloud.points, spec)
+    return SparseVoxelTensor(sites, feats, spec, origin_flags_of(feats[:, 4]), _validate=False)
 
 
 def grid_points(tensor: SparseVoxelTensor) -> np.ndarray:

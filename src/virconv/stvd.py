@@ -9,6 +9,7 @@ Every sampler returns a row subset of its input: features pass through
 bit-exactly and relative input order is preserved.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,12 @@ class StvdConfig:
             raise ValueError("num_bins must be positive")
         if self.keep_per_nearby_bin < 1:
             raise ValueError("keep_per_nearby_bin must be >= 1")
-        if self.nearby_limit > self.bin_range:
-            raise ValueError("nearby_limit must not exceed bin_range")
+        # Written so that NaN fails each comparison.
+        if not 0.0 < self.bin_range < math.inf:
+            raise ValueError(f"bin_range must be positive and finite, got {self.bin_range}")
+        if not 0.0 <= self.nearby_limit <= self.bin_range:
+            raise ValueError(f"nearby_limit must lie in [0, bin_range = {self.bin_range}], "
+                             f"got {self.nearby_limit}")
         if self.mode not in (MODE_ALL, MODE_VIRTUAL_ONLY):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -51,9 +56,10 @@ class StvdConfig:
         return self.bin_range / self.num_bins
 
     def bin_of(self, planar_dist) -> np.ndarray:
-        """Bin index per distance; num_bins is the overflow bin."""
-        b = np.floor(np.asarray(planar_dist) / self.bin_width).astype(np.int64)
-        return np.minimum(b, self.num_bins)
+        """Bin index per distance; num_bins is the overflow bin. Capped before
+        the int64 cast, which a tiny bin_width would overflow."""
+        b = np.floor(np.asarray(planar_dist) / self.bin_width)
+        return np.minimum(b, self.num_bins).astype(np.int64)
 
     def is_nearby_bin(self, b) -> np.ndarray:
         """Nearby means the bin center is at or below the nearby limit."""

@@ -90,7 +90,7 @@ class VoxelGridSpec:
         )
 
 
-def inside_extent(indices, extent) -> np.ndarray:
+def _inside_extent(indices, extent) -> np.ndarray:
     """Mask of (N, 3) index rows with 0 <= index < extent on every axis.
 
     One unsigned compare per axis: a negative coordinate wraps above any
@@ -101,7 +101,7 @@ def inside_extent(indices, extent) -> np.ndarray:
             & (u[:, 2] < np.uint64(extent[2])))
 
 
-def padded_keys(indices, extent) -> np.ndarray:
+def _padded_keys(indices, extent) -> np.ndarray:
     """Scalar keys of (N, 3) index rows on the extent padded by one voxel per
     side: ((x+1)(ey+2) + y+1)(ez+2) + z+1.
 
@@ -114,14 +114,32 @@ def padded_keys(indices, extent) -> np.ndarray:
     return ((indices[:, 0] + 1) * ey + indices[:, 1] + 1) * ez + indices[:, 2] + 1
 
 
-def key_rows(keys, extent) -> np.ndarray:
-    """(N, 3) index rows of padded keys: the inverse of padded_keys."""
+def _key_rows(keys, extent) -> np.ndarray:
+    """(N, 3) index rows of padded keys: the inverse of _padded_keys."""
     ey, ez = int(extent[1]) + 2, int(extent[2]) + 2
     rows = np.empty((len(keys), 3), dtype=np.int64)
     rows[:, 0], rest = np.divmod(keys, ey * ez)
     rows[:, 1], rows[:, 2] = np.divmod(rest, ez)
     rows -= 1
     return rows
+
+
+def site_means(indices, values, spec) -> tuple:
+    """(sites, means): the distinct rows of the (N, 3) indices that lie inside
+    spec.extent, in ascending key order, and per site the mean of each column
+    of the (N, C) values over its rows. Rows outside the extent are dropped;
+    C may be 0. Each column sum is one np.bincount, which adds in row order.
+    """
+    keys = _padded_keys(indices, spec.extent)
+    # Rows outside share key -1, which sorts first and is dropped below.
+    keys[~_inside_extent(indices, spec.extent)] = -1
+    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    drop = int(len(uniq) > 0 and uniq[0] == -1)
+    means = np.empty((len(uniq) - drop, values.shape[1]))
+    for j in range(values.shape[1]):
+        means[:, j] = np.bincount(inverse, weights=values[:, j], minlength=len(uniq))[drop:]
+    means /= counts[drop:, None]
+    return _key_rows(uniq[drop:], spec.extent), means
 
 
 class SparseVoxelTensor:
@@ -132,7 +150,7 @@ class SparseVoxelTensor:
     origin_flags: optional (N,) int8 in {ORIGIN_LIDAR, ORIGIN_VIRTUAL,
         ORIGIN_MIXED}, tracking point provenance per voxel.
 
-    Every site lookup goes through sorted padded_keys: a query row is keyed
+    Every site lookup goes through sorted _padded_keys: a query row is keyed
     once, and each kernel offset is one scalar add and one searchsorted in
     pairs_at. One mirrored self-pair search, _self_pairs, builds both
     submanifold maps: the 27-offset kernel map of the sites, and the 9-offset
@@ -149,8 +167,8 @@ class SparseVoxelTensor:
             raise ValueError(f"indices must be an (N, 3) array, got shape {indices.shape}")
         features = np.ascontiguousarray(features, dtype=np.float64)
         if origin_flags is not None:
-            origin_flags = np.ascontiguousarray(origin_flags, dtype=np.int8)
-        if _validate:
+            origin_flags = np.ascontiguousarray(origin_flags)
+        if _validate:   # before the int8 cast, which would wrap 258 to 2
             _validate_tensor(indices, features, spec, origin_flags)
         self.spec = spec
         self.indices = indices
@@ -159,7 +177,8 @@ class SparseVoxelTensor:
         self.indices.setflags(write=False)
         self.features.setflags(write=False)
         if origin_flags is not None:
-            origin_flags.setflags(write=False)
+            self.origin_flags = origin_flags.astype(np.int8, copy=False)
+            self.origin_flags.setflags(write=False)
         self._sorted = None
         self._kernel_map = None
         self._cell_map = None   # (read-only copy of h2d, cell map)
@@ -187,7 +206,7 @@ class SparseVoxelTensor:
     def sorted_keys(self):
         """(sorted padded keys, row order) cached for vectorized gathers."""
         if self._sorted is None:
-            keys = padded_keys(self.indices, self.spec.extent)
+            keys = _padded_keys(self.indices, self.spec.extent)
             order = np.argsort(keys, kind="stable")
             self._sorted = (keys[order], order)
         return self._sorted
@@ -206,7 +225,7 @@ class SparseVoxelTensor:
         """
         indices = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
         rows = np.full(len(indices), -1, dtype=np.int64)
-        sel = np.flatnonzero(inside_extent(indices, self.spec.extent))
+        sel = np.flatnonzero(_inside_extent(indices, self.spec.extent))
         [(hits, found)] = self.pairs_at(indices[sel], np.zeros((1, 3), np.int64))
         rows[sel[hits]] = found
         return rows
@@ -223,14 +242,14 @@ class SparseVoxelTensor:
         base = np.asarray(base, dtype=np.int64).reshape(-1, 3)
         offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, 3)
         extent = self.spec.extent
-        if not inside_extent(base, extent).all() or np.abs(offsets).max(initial=0) > 1:
+        if not _inside_extent(base, extent).all() or np.abs(offsets).max(initial=0) > 1:
             raise ValueError("pairs_at needs base rows inside the extent "
                              "and offsets in {-1, 0, 1}")
         empty = np.zeros(0, dtype=np.int64)
         if self.n == 0 or len(base) == 0:
             return [(empty, empty) for _ in offsets]
-        keys = padded_keys(base, extent)
-        shifts = padded_keys(offsets, extent) - padded_keys(np.zeros((1, 3), np.int64), extent)
+        keys = _padded_keys(base, extent)
+        shifts = _padded_keys(offsets, extent) - _padded_keys(np.zeros((1, 3), np.int64), extent)
         order = self.sorted_keys()[1]
         pairs = []
         for shift in shifts:
@@ -290,7 +309,7 @@ class SparseVoxelTensor:
             flat[:, :2] -= flat[:, :2].min(axis=0)
         spec = VoxelGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
                              tuple(int(e) for e in flat.max(axis=0, initial=0) + 1))
-        keys = padded_keys(flat, spec.extent)
+        keys = _padded_keys(flat, spec.extent)
         order = np.argsort(keys, kind="stable")
         starts = np.flatnonzero(np.diff(keys[order], prepend=-1))   # keys are positive
         grid = SparseVoxelTensor(flat[order[starts]], np.zeros((len(starts), 0)), spec,
@@ -323,6 +342,18 @@ class SparseVoxelTensor:
         out._sorted, out._kernel_map, out._cell_map = (
             self._sorted, self._kernel_map, self._cell_map)
         return out
+
+    def downsampled_sites(self) -> tuple:
+        """(spec, sites, flags) one stride level down: the downsampled spec,
+        the distinct floor(index / 2) rows in key order, and their origin
+        flags (None without flags). A coarse flag is origin_flags_of the mean
+        of its rows' flags, counting LiDAR as 0, mixed as 0.5 and virtual as
+        1. Each row counts once, whatever mix of finer voxels it stands for."""
+        spec, flags = self.spec.downsampled(), self.origin_flags
+        share = np.zeros((self.n, 0)) if flags is None else (
+            (flags == ORIGIN_VIRTUAL) + 0.5 * (flags == ORIGIN_MIXED))[:, None]
+        sites, virtual_frac = site_means(self.indices // 2, share, spec)
+        return spec, sites, None if flags is None else origin_flags_of(virtual_frac[:, 0])
 
     def take_rows(self, rows) -> "SparseVoxelTensor":
         """Subset tensor from a row selection; features are carried bit-exactly."""
@@ -361,11 +392,17 @@ def _validate_tensor(indices, features, spec, origin_flags):
     if n and not np.isfinite(features).all():
         bad = np.flatnonzero(~np.isfinite(features).all(axis=1))[0]
         raise ValueError(f"non-finite feature values at row {bad}")
-    if origin_flags is not None and len(origin_flags) != n:
-        raise ValueError("origin_flags length does not match voxel count")
+    if origin_flags is not None:
+        if origin_flags.shape != (n,):
+            raise ValueError(f"origin_flags shape {origin_flags.shape} does not match "
+                             f"the voxel count: expected ({n},)")
+        bad = np.flatnonzero(~np.isin(origin_flags, (ORIGIN_LIDAR, ORIGIN_VIRTUAL, ORIGIN_MIXED)))
+        if len(bad):
+            raise ValueError(f"origin flag {origin_flags[bad[0]]} at row {bad[0]} is not "
+                             "0 (LiDAR), 1 (virtual) or 2 (mixed)")
     if n == 0:
         return
-    outside = ~inside_extent(indices, spec.extent)
+    outside = ~_inside_extent(indices, spec.extent)
     if outside.any():
         bad = indices[np.flatnonzero(outside)[0]]
         raise ValueError(

@@ -46,7 +46,7 @@ from virconv.oracle import (
     gradcheck,
 )
 from virconv.scene import SyntheticSceneSpec, generate_scene, synthetic_calibration
-from virconv.tensor import ORIGIN_LIDAR, ORIGIN_VIRTUAL
+from virconv.tensor import CENTER_3D, ORIGIN_LIDAR, ORIGIN_VIRTUAL
 from conftest import random_h2d, random_tensor
 
 LEAKY = ActivationSpec("leaky_relu", 0.1)
@@ -56,10 +56,23 @@ def rel_err(got, want):
     return np.abs(got - want).max() / max(1.0, np.abs(want).max())
 
 
+def compared_work(t, h2d) -> np.ndarray:
+    """[3D pairs besides the centre, 2D cells with a neighbour, sites on the
+    grid edge] of a tensor and its cell assignment."""
+    pairs3d = sum(len(out) for k, (out, _) in enumerate(t.kernel_map()) if k != CENTER_3D)
+    cell_pairs = t.cell_map(h2d)[3]
+    centre = len(cell_pairs) // 2
+    neighboured = np.unique(np.concatenate(
+        [out for k, (out, _) in enumerate(cell_pairs) if k != centre]))
+    edge = ((t.indices == 0) | (t.indices == np.array(t.spec.extent) - 1)).any(axis=1)
+    return np.array([pairs3d, len(neighboured), int(edge.sum())])
+
+
 # ---------------------------------------------------------------- criterion 1
 
 def test_c1_all_ops_match_dense_reference_on_100_random_scenes():
     worst = 0.0
+    work = np.zeros(3, np.int64)
     for seed in range(100):
         rng = SeededRng(seed)
         extent = tuple(int(e) for e in rng.gen.integers(4, 17, size=3))
@@ -81,8 +94,12 @@ def test_c1_all_ops_match_dense_reference_on_100_random_scenes():
         ref_idx, ref_feats = dense_spconv_downsample(t, sw, LEAKY)
         assert np.array_equal(out.indices, ref_idx)
         worst = max(worst, rel_err(out.features, ref_feats))
-    print(f"\n[criterion 1] worst relative error over 100 scenes: {worst:.3e}")
+        work += compared_work(t, h2d)
+    print(f"\n[criterion 1] worst relative error over 100 scenes: {worst:.3e} "
+          f"({work[0]} 3D pairs besides the centre, {work[1]} 2D cells with a "
+          f"neighbour, {work[2]} sites on the grid edge)")
     assert worst < 1e-5
+    assert work.all()
 
 
 # ---------------------------------------------------------------- criterion 2
@@ -193,13 +210,18 @@ def test_c4_input_discard_speedup_on_dense_scene():
 
 def test_c5_output_sites_equal_input_sites_1000_random_inputs():
     kw = KernelWeights.initialize(2, 2, SeededRng(0))
+    work = np.zeros(3, np.int64)
     for seed in range(1000):
         rng = SeededRng(seed)
         t = random_tensor(rng, extent=(5, 5, 5), occupancy=0.3, c=2)
         h2d = random_h2d(rng, t.n, span=3, invalid_frac=0.2)
         out = nrconv(t, h2d, kw, LEAKY)
         assert np.array_equal(out.indices, t.indices)
-    print("\n[criterion 5] index sets identical on 1000 random inputs")
+        work += compared_work(t, h2d)
+    print(f"\n[criterion 5] index sets identical on 1000 random inputs ({work[0]} 3D "
+          f"pairs besides the centre, {work[1]} 2D cells with a neighbour, {work[2]} "
+          f"sites on the grid edge)")
+    assert work.all()
 
 
 # ---------------------------------------------------------------- criterion 6

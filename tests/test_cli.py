@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,19 @@ def test_bad_config_is_config_error(scene_dir, capsys):
     code = run(["stvd-stats", "--scene", scene_dir, "--bins", 0])
     assert code == EXIT_CONFIG
     capsys.readouterr()
+    # Degenerate ranges: each fails its own check, which names the field.
+    for flag, value, field in (("--bin-range", "inf", "bin_range"),
+                               ("--bin-range", "nan", "bin_range"),
+                               ("--bin-range", 0, "bin_range"),
+                               ("--bin-range", -10, "bin_range"),
+                               ("--nearby-limit", "nan", "nearby_limit"),
+                               ("--nearby-limit", -5, "nearby_limit"),
+                               ("--nearby-limit", 101, "nearby_limit")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["stvd-stats", "--scene", scene_dir, flag, value])
+        assert code == EXIT_CONFIG, (flag, value)
+        assert capsys.readouterr().err.startswith(f"error: {field} must ")
 
 
 @pytest.mark.parametrize("raw", [{"foo": 1}, [1, 2], {"lidar_density": "dense"},

@@ -31,7 +31,6 @@ from virconv.geometry import (
     read_fused_bin,
     read_velodyne_bin,
     read_virtual_bin,
-    voxel_row_of_points,
     write_fused_bin,
     write_kitti_calib,
     write_point_bin,
@@ -107,10 +106,10 @@ def test_voxelize_drops_outside_points():
     assert t.n == 1
 
 
-def test_voxel_row_of_points_roundtrip(rng):
+def test_voxelize_find_rows_of_point_indices_roundtrip(rng):
     cloud = make_cloud(rng)
     t = voxelize(cloud, SMALL)
-    rows = voxel_row_of_points(cloud, t)
+    rows = t.find_rows(point_indices(cloud, SMALL))
     assert (rows >= 0).all()
     origin = np.asarray(SMALL.origin)
     idx = np.floor((cloud.xyz - origin) / SMALL.cell_size).astype(np.int64)

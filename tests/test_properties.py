@@ -1,12 +1,14 @@
 """Property tests of the fixed-cost paths against brute force: per-cell
 pooling and its gradient routing under many ties, the rank passes against
-segment reductions, find_rows on queries outside the extent, and voxelize
-with points cropped on every face."""
+segment reductions, find_rows on queries outside the extent, voxelize with
+points cropped on every face, and site_means and downsampled_sites against
+dict groupings."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from virconv import ActivationSpec, KernelWeights, SeededRng, SparseVoxelTensor, VoxelGridSpec
@@ -21,6 +23,7 @@ from virconv.conv import (
 )
 from virconv.geometry import INVALID_2D, SparsePointCloud, voxelize
 from virconv.oracle import dense_conv2d_branch
+from virconv.tensor import ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL, site_means
 
 LEAKY = ActivationSpec("leaky_relu", 0.1)
 OFFS_2D = [(du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1)]
@@ -228,6 +231,96 @@ def test_voxelize_matches_per_voxel_python_mean(case):
     beta = want[:, 4]
     assert t.origin_flags.tolist() == np.where(
         beta < 0.5, 0, np.where(beta > 0.5, 1, 2)).tolist()
+
+
+@st.composite
+def rows_and_values(draw):
+    """(extent, rows, values): rows run two voxels past each face of the
+    extent, every face holds an inside row and an outside one, rows may repeat,
+    and the (N, C) values, C from 0 to 3, are arbitrary finite floats."""
+    extent = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
+    row = st.tuples(*(st.integers(-2, e + 1) for e in extent))
+    rows = draw(st.lists(row, max_size=40))
+    for axis in range(3):
+        for face in (-1, 0, extent[axis] - 1, extent[axis]):
+            r = list(draw(row))
+            r[axis] = face
+            rows.append(tuple(r))
+    rows = draw(st.permutations(rows))
+    c = draw(st.integers(0, 3))
+    value = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    values = draw(st.lists(st.lists(value, min_size=c, max_size=c),
+                           min_size=len(rows), max_size=len(rows)))
+    return extent, rows, np.array(values, np.float64).reshape(len(rows), c)
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=rows_and_values())
+@example(case=((1, 1, 1), [], np.zeros((0, 2))))
+def test_site_means_matches_dict_grouping(case):
+    extent, rows, values = case
+    spec = VoxelGridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extent=extent)
+    members = {}
+    for r, row in enumerate(rows):
+        if all(0 <= row[a] < extent[a] for a in range(3)):
+            members.setdefault(row, []).append(r)
+    sites = sorted(members)
+    want = np.zeros((len(sites), values.shape[1]))
+    for i, site in enumerate(sites):
+        for r in members[site]:   # in row order, from 0.0, as np.bincount adds
+            want[i] += values[r]
+        want[i] /= len(members[site])
+    got_sites, got = site_means(np.array(rows, np.int64).reshape(-1, 3), values, spec)
+    assert got_sites.tolist() == [list(s) for s in sites]
+    assert_same_bits(got, want)
+
+
+SHARE = {ORIGIN_LIDAR: Fraction(0), ORIGIN_MIXED: Fraction(1, 2), ORIGIN_VIRTUAL: Fraction(1)}
+
+
+@st.composite
+def flagged_sites(draw):
+    """(extent, unique sites, flags or None): sites on every face of the
+    extent, flags drawn from all three provenance values."""
+    extent = draw(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)))
+    site = st.tuples(*(st.integers(0, e - 1) for e in extent))
+    sites = draw(st.lists(site, max_size=60))
+    for axis in range(3):
+        for face in (0, extent[axis] - 1):
+            s = list(draw(site))
+            s[axis] = face
+            sites.append(tuple(s))
+    sites = list(dict.fromkeys(draw(st.permutations(sites))))
+    flags = draw(st.none() | st.lists(st.sampled_from(sorted(SHARE)),
+                                      min_size=len(sites), max_size=len(sites)))
+    return extent, sites, flags
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=flagged_sites())
+@example(case=((2, 1, 1), [(0, 0, 0), (1, 0, 0)], [ORIGIN_MIXED, ORIGIN_LIDAR]))
+@example(case=((1, 1, 1), [], []))
+def test_downsampled_sites_match_dict_grouping(case):
+    extent, sites, flags = case
+    spec = VoxelGridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extent=extent)
+    t = SparseVoxelTensor(np.array(sites, np.int64).reshape(-1, 3),
+                          np.zeros((len(sites), 1)), spec, flags)
+    members = {}
+    for i, site in enumerate(sites):
+        members.setdefault(tuple(v // 2 for v in site), []).append(i)
+    coarse = sorted(members)
+    got_spec, got_sites, got_flags = t.downsampled_sites()
+    assert got_spec == spec.downsampled()
+    assert got_sites.tolist() == [list(c) for c in coarse]
+    if flags is None:
+        assert got_flags is None
+        return
+    want = []
+    for c in coarse:
+        share = sum(SHARE[flags[i]] for i in members[c]) / len(members[c])
+        want.append(ORIGIN_LIDAR if share < Fraction(1, 2) else
+                    ORIGIN_VIRTUAL if share > Fraction(1, 2) else ORIGIN_MIXED)
+    assert got_flags.dtype == np.int8 and got_flags.tolist() == want
 
 
 @settings(deadline=None, max_examples=60)

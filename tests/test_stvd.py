@@ -1,5 +1,7 @@
 """Distance-stratified input discard and training-time layer discard."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,11 @@ def test_bin_of_and_nearby_edges():
         [0, 0, 1, 2, 3, 9, 10, 10]
     nearby = [bool(cfg.is_nearby_bin(b)) for b in range(11)]
     assert nearby == [True, True, True] + [False] * 8
+    # A tiny bin width sends every positive distance to the overflow bin.
+    tiny = StvdConfig(bin_range=1e-300, nearby_limit=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tiny.bin_of([0.0, 5.0, 1e6]).tolist() == [0, 10, 10]
 
 
 def test_config_validation():

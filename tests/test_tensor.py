@@ -41,6 +41,19 @@ def test_row_count_and_finiteness_rejected():
         SparseVoxelTensor([[0, 0, 0]], np.zeros((1, 1)), SPEC, origin_flags=[0, 1])
 
 
+def test_origin_flags_outside_lidar_virtual_mixed_rejected():
+    idx = [[0, 0, 0], [1, 0, 0]]
+    # Each would pass as another flag after an int8 cast: 258 wraps to 2,
+    # 0.7 truncates to 0, -256 wraps to 0.
+    for flags in ([7, 1], [258, 1], [0.7, 1.0], [0, -256], [-1, 0], [0, 1.5]):
+        with pytest.raises(ValueError, match=r"origin flag .* at row \d is not 0 \(LiDAR\)"):
+            SparseVoxelTensor(idx, np.zeros((2, 1)), SPEC, origin_flags=flags)
+    with pytest.raises(ValueError, match=r"origin_flags shape \(2, 1\) does not match"):
+        SparseVoxelTensor(idx, np.zeros((2, 1)), SPEC, origin_flags=[[0], [1]])
+    t = SparseVoxelTensor(idx, np.zeros((2, 1)), SPEC, origin_flags=[2.0, 1])
+    assert t.origin_flags.dtype == np.int8 and t.origin_flags.tolist() == [2, 1]
+
+
 def test_features_that_are_not_2d_rejected():
     for idx, feats in (([[0, 0, 0], [1, 0, 0]], np.zeros(2)), (np.zeros((0, 3)), np.zeros(0)),
                        ([[0, 0, 0]], np.zeros((1, 1, 1)))):
