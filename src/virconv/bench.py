@@ -93,7 +93,6 @@ def run_sweep(scene_dir, rates, repeats: int, seed: int) -> list:
     nearby = nearby_discardable_counts(base_tensor, base_cfg)
     chash = config_hash(
         {
-            "scene": str(scene_dir),
             "rates": list(rates),
             "repeats": repeats,
             "seed": seed,

@@ -13,16 +13,19 @@ All of them are one layer over different pair maps. A pair map lists, per
 kernel offset k, (output rows, input rows); a ConvWeights holds the kernel
 stack w (K, C_in, C_out), the bias and their gradients. One step,
 _pair_conv, computes act(bias + X[in rows] @ w[k] summed into the output
-rows) and saves what _pair_conv_backward needs. Each op only supplies its
+rows) and saves what _pair_conv_backward needs: the inputs and the bool mask
+pre > 0, all that ActivationSpec.deriv reads. Each op only supplies its
 map: tensor.kernel_map() for the 3D branch (KernelWeights.conv3d), the cell
 pairs of tensor.cell_map(h2d) for the 2D branch (KernelWeights.conv2d), and
 tensor.pairs_at(2 * out, OFFSETS_3D) for the downsample (SpconvWeights, the
 27-offset ConvWeights). Every site lookup belongs to SparseVoxelTensor,
 which caches both maps per site set (and h2d). Per offset, every pair map
 is injective in both directions, so scatters are plain fancy-index
-accumulation. Within a cell, rows go in rank passes: the k-th members of
-all cells form pass k, where no cell repeats, so pooling, its argmax and
-the cell sums are one fancy-index update per pass, in row order.
+accumulation. The centre tap of both submanifold maps is one shared arange
+on both sides; the step runs it on X directly, without index arrays, in
+its place in offset order. Within a cell, rows go in rank passes: the k-th
+members of all cells form pass k, where no cell repeats, so pooling, its
+argmax and the cell sums are one fancy-index update per pass, in row order.
 
 Backward passes are exact: pass a Ctx to a forward call, then call the
 matching *_backward with the upstream gradient. Weight gradients accumulate
@@ -59,11 +62,13 @@ class ActivationSpec:
         return pre
 
     def deriv(self, pre):
+        """float64 derivative at pre. It reads only pre > 0, so pre may be
+        that bool mask itself."""
         if self.kind == "relu":
             return (pre > 0).astype(np.float64)
         if self.kind == "leaky_relu":
             return np.where(pre > 0, 1.0, self.slope)
-        return np.ones_like(pre)
+        return np.ones(pre.shape)
 
 
 RELU = ActivationSpec("relu")
@@ -191,13 +196,17 @@ def _pair_conv(X: np.ndarray, pairs, conv: ConvWeights, n_out: int,
                act: ActivationSpec, ctx: Ctx = None) -> np.ndarray:
     """act(pre) of a pair-map convolution, where the (n_out, C_out) pre is
     bias plus, per offset k, X[in rows] @ w[k] added into the output rows.
-    Given a ctx, saves X, pairs, conv, act and pre for _pair_conv_backward."""
+    A pair whose out rows are its in rows (one shared arange, the centre of
+    a submanifold map) adds X @ w[k] without gather or scatter. Given a ctx,
+    saves X, pairs, conv, act and the mask pre > 0 for _pair_conv_backward."""
     pre = np.broadcast_to(conv.bias, (n_out, conv.c_out)).copy()
     for k, (out_rows, in_rows) in enumerate(pairs):
-        if len(out_rows):
+        if out_rows is in_rows:
+            pre += X @ conv.w[k]
+        elif len(out_rows):
             pre[out_rows] += X[in_rows] @ conv.w[k]
     if ctx is not None:
-        ctx.save(X=X, pairs=pairs, conv=conv, act=act, pre=pre)
+        ctx.save(X=X, pairs=pairs, conv=conv, act=act, positive=pre > 0)
     return act.apply(pre)
 
 
@@ -208,9 +217,13 @@ def _pair_conv_backward(saved: dict, gpre: np.ndarray) -> np.ndarray:
     conv.g_bias += gpre.sum(axis=0)
     gX = np.zeros_like(X)
     for k, (out_rows, in_rows) in enumerate(saved["pairs"]):
-        if len(out_rows):
-            conv.g_w[k] += X[in_rows].T @ gpre[out_rows]
-            gX[in_rows] += gpre[out_rows] @ conv.w[k].T
+        if out_rows is in_rows:
+            conv.g_w[k] += X.T @ gpre
+            gX += gpre @ conv.w[k].T
+        elif len(out_rows):
+            g = gpre[out_rows]
+            conv.g_w[k] += X[in_rows].T @ g
+            gX[in_rows] += g @ conv.w[k].T
     return gX
 
 
@@ -224,7 +237,7 @@ def submanifold_conv3d(tensor: SparseVoxelTensor, weights: KernelWeights,
 
 def submanifold_conv3d_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     d = ctx.require("submanifold_conv3d")
-    return _pair_conv_backward(d, grad_out * d["act"].deriv(d["pre"]))
+    return _pair_conv_backward(d, grad_out * d["act"].deriv(d["positive"]))
 
 
 def _cell_max(X: np.ndarray, first, passes) -> np.ndarray:
@@ -297,7 +310,7 @@ def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
         return gX
 
     # The cell output gradient is the sum over member voxels.
-    gpre = _cell_sum(grad_out, first, passes) * act.deriv(d["pre"])
+    gpre = _cell_sum(grad_out, first, passes) * act.deriv(d["positive"])
     g_pooled = _pair_conv_backward(d, gpre)
 
     # Route pooled gradients to the argmax member per (cell, channel). A row
@@ -347,4 +360,4 @@ def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,
 
 def spconv_downsample_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     d = ctx.require("spconv_downsample")
-    return _pair_conv_backward(d, grad_out * d["act"].deriv(d["pre"]))
+    return _pair_conv_backward(d, grad_out * d["act"].deriv(d["positive"]))

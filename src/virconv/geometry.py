@@ -139,10 +139,12 @@ def default_grid_spec() -> VoxelGridSpec:
 
 def point_indices(cloud: SparsePointCloud, spec: VoxelGridSpec) -> np.ndarray:
     """(N, 3) int64 voxel index of each point, floor((xyz - origin) / cell
-    size); points outside the extent get indices outside it."""
+    size); points outside the extent get indices outside it, clipped per axis
+    to [-1, extent] in float so that far points cast without overflow."""
     idx = cloud.xyz - np.asarray(spec.origin, dtype=np.float64)
     idx /= spec.cell_size
     np.floor(idx, out=idx)
+    np.clip(idx, -1.0, np.asarray(spec.extent, dtype=np.float64), out=idx)
     return idx.astype(np.int64)
 
 

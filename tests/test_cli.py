@@ -317,6 +317,19 @@ def test_bench_stvd_csv(scene_dir, tmp_path):
     assert float(baseline[1]) == 0.0 and float(baseline[-1]) == 1.0
 
 
+def test_bench_stvd_config_hash_ignores_the_scene_path(scene_dir, tmp_path):
+    copy = tmp_path / "elsewhere"
+    shutil.copytree(scene_dir, copy)
+    csvs = []
+    for i, scene in enumerate((scene_dir, copy)):
+        csv = tmp_path / f"bench{i}.csv"
+        assert run(["bench-stvd", "--scene", scene, "--sweep-rates", "0.9",
+                    "--repeats", 5, "--csv", csv]) == EXIT_OK
+        csvs.append(csv.read_text().splitlines())
+    assert csvs[0][2].startswith("# config_hash=") and csvs[0][2] == csvs[1][2]
+    assert [lines[4].split(",")[0] for lines in csvs] == [str(scene_dir), str(copy)]
+
+
 def bench_rows(scene_dir, tmp_path, rates) -> list:
     """The data rows of a 5-repeat bench-stvd CSV, as header -> value dicts."""
     csv = tmp_path / "bench.csv"

@@ -20,6 +20,8 @@ from virconv.conv import (
     RELU,
     ConvWeights,
     Ctx,
+    _pair_conv,
+    _pair_conv_backward,
     nrconv_backward,
     spconv_downsample_backward,
 )
@@ -51,6 +53,10 @@ def test_activation_specs():
         h = 1e-7
         num = (act.apply(xs + h) - act.apply(xs - h)) / (2 * h)
         assert np.allclose(act.deriv(xs), num, atol=1e-6)
+        # deriv reads only the sign, so the Ctx's bool mask gives the same float64.
+        for arg in (xs, xs > 0):
+            assert act.deriv(arg).dtype == np.float64
+            assert np.array_equal(act.deriv(arg), act.deriv(xs))
     with pytest.raises(ValueError):
         ActivationSpec("swish")
 
@@ -229,3 +235,47 @@ def test_empty_tensor_passthrough(rng):
     sw = SpconvWeights.initialize(3, 4, rng)
     out = spconv_downsample(t, sw)
     assert out.n == 0 and out.spec.stride_level == 2
+
+
+def _split_centre(pairs) -> list:
+    """The pairs with a shared centre (out rows is in rows) replaced by two
+    equal but distinct aranges, which take the indexed path."""
+    return [(out_rows, in_rows.copy()) if out_rows is in_rows else (out_rows, in_rows)
+            for out_rows, in_rows in pairs]
+
+
+@pytest.mark.parametrize("act", [RELU, LEAKY, IDENTITY], ids=lambda a: a.kind)
+def test_shared_centre_tap_matches_the_indexed_path_bit_for_bit(act):
+    rng = SeededRng(5)
+    t = random_tensor(rng, c=3)
+    kw = KernelWeights.initialize(3, 4, rng)
+    cells = t.cell_map(random_h2d(rng, t.n))[3]
+    for pairs, conv in ((t.kernel_map(), kw.conv3d), (cells, kw.conv2d)):
+        centre = pairs[len(pairs) // 2]
+        assert centre[0] is centre[1]   # the fast path runs on the cached maps
+        n = len(centre[0])
+        X, grad = rng.gen.normal(size=(n, 3)), rng.gen.normal(size=(n, conv.c_out))
+        runs = []
+        for run_pairs in (pairs, _split_centre(pairs)):
+            conv.zero_grads()
+            ctx = Ctx()
+            out = _pair_conv(X, run_pairs, conv, n, act, ctx)
+            gX = _pair_conv_backward(ctx.data, grad * act.deriv(ctx.data["positive"]))
+            runs.append((out, conv.g_w.copy(), conv.g_bias.copy(), gX))
+        for fast, indexed in zip(*runs):
+            assert np.array_equal(fast, indexed)
+
+
+def test_ctx_saves_only_the_sign_of_the_pre_activation(rng):
+    t = random_tensor(rng, c=3)
+    kw, sw = KernelWeights.initialize(3, 4, rng), SpconvWeights.initialize(3, 4, rng)
+    ctx3, ctx2, ctxd = Ctx(), Ctx(), Ctx()
+    out3 = submanifold_conv3d(t, kw, IDENTITY, ctx3)
+    conv2d_branch(t, random_h2d(rng, t.n), kw, IDENTITY, ctx2)
+    outd = spconv_downsample(t, sw, IDENTITY, ctxd)
+    for ctx, pre in ((ctx3, out3.features), (ctx2, None), (ctxd, outd.features)):
+        positive = ctx.data["positive"]
+        assert positive.dtype == np.bool_ and "pre" not in ctx.data
+        if pre is not None:   # identity: the output is pre itself
+            assert np.array_equal(positive, pre > 0)
+    assert ctx2.data["positive"].shape == (len(ctx2.data["first"]), kw.c_half)

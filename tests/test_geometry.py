@@ -1,6 +1,7 @@
 """Point clouds, voxelization, augmentation, projection, and file formats."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,17 @@ def test_voxelize_drops_outside_points():
     cloud = SparsePointCloud.from_xyz([[100.0, 0.0, 0.0], [0.1, 0.1, 0.1]])
     t = voxelize(cloud, SMALL)
     assert t.n == 1
+
+
+def test_voxelize_drops_far_points_without_a_cast_warning():
+    far = [[1e30, 0.0, 0.0], [-1e30, 0.0, 0.0], [0.1, 1e30, 0.1], [0.1, 0.1, -1e30]]
+    cloud = SparsePointCloud.from_xyz(far + [[0.1, 0.1, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx = point_indices(cloud, SMALL)
+        t = voxelize(cloud, SMALL)
+    assert ((idx >= -1) & (idx <= np.asarray(SMALL.extent))).all()
+    assert np.array_equal(t.indices, [[0, 4, 2]])
 
 
 def test_voxelize_find_rows_of_point_indices_roundtrip(rng):
