@@ -31,7 +31,7 @@ class FormatError(ValueError):
 
 @dataclass
 class SparsePointCloud:
-    """Fused point cloud; points is (N, 5) float64 [x, y, z, alpha, beta]."""
+    """Fused point cloud; points is (N, 5) finite float64 [x, y, z, alpha, beta]."""
 
     points: np.ndarray
 
@@ -40,8 +40,8 @@ class SparsePointCloud:
         if pts.ndim != 2 or pts.shape[1] != 5:
             raise ValueError(f"points must be (N, 5), got {pts.shape}")
         if len(pts):
-            if not np.isfinite(pts[:, :3]).all():
-                raise ValueError("point coordinates must be finite")
+            if not np.isfinite(pts[:, :4]).all():
+                raise ValueError("point coordinates and alpha (reflectance) must be finite")
             beta = pts[:, 4]
             if not np.isin(beta, (0.0, 1.0)).all():
                 raise ValueError("beta must be 0 (LiDAR) or 1 (virtual)")
@@ -140,12 +140,20 @@ def default_grid_spec() -> VoxelGridSpec:
 def point_indices(cloud: SparsePointCloud, spec: VoxelGridSpec) -> np.ndarray:
     """(N, 3) int64 voxel index of each point, floor((xyz - origin) / cell
     size); points outside the extent get indices outside it, clipped per axis
-    to [-1, extent] in float so that far points cast without overflow."""
-    idx = cloud.xyz - np.asarray(spec.origin, dtype=np.float64)
-    idx /= spec.cell_size
-    np.floor(idx, out=idx)
-    np.clip(idx, -1.0, np.asarray(spec.extent, dtype=np.float64), out=idx)
-    return idx.astype(np.int64)
+    to [-1, extent] in float so that far points cast without overflow.
+
+    One axis at a time through one reused float column, so numpy's inner
+    loop runs N long, not 3; each element sees the same float operations.
+    """
+    out = np.empty((cloud.n, 3), dtype=np.int64)
+    col = np.empty(cloud.n)
+    for a, cs in enumerate(spec.cell_size):
+        np.subtract(cloud.points[:, a], spec.origin[a], out=col)
+        col /= cs
+        np.floor(col, out=col)
+        np.clip(col, -1.0, spec.extent[a], out=col)
+        out[:, a] = col
+    return out
 
 
 def voxelize(cloud: SparsePointCloud, spec: VoxelGridSpec) -> SparseVoxelTensor:

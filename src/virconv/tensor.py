@@ -129,17 +129,43 @@ def site_means(indices, values, spec) -> tuple:
     spec.extent, in ascending key order, and per site the mean of each column
     of the (N, C) values over its rows. Rows outside the extent are dropped;
     C may be 0. Each column sum is one np.bincount, which adds in row order.
+
+    One sort groups the rows. With r = N.bit_length(), each key is packed as
+    key << r | row and the packed keys are sorted in place: the high bits are
+    then the sorted keys and the low r bits the permutation. That needs the
+    largest padded key's bit length plus r to be at most 63; past that,
+    np.argsort of the keys gives the permutation. Neither sort has to be
+    stable, since np.bincount adds in row order however the inverse was built.
     """
+    n = len(indices)
     keys = _padded_keys(indices, spec.extent)
-    # Rows outside share key -1, which sorts first and is dropped below.
-    keys[~_inside_extent(indices, spec.extent)] = -1
-    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    drop = int(len(uniq) > 0 and uniq[0] == -1)
-    means = np.empty((len(uniq) - drop, values.shape[1]))
+    # Rows outside share key 0, which sorts first and is dropped below;
+    # every inside row's padded key is at least 1.
+    keys[~_inside_extent(indices, spec.extent)] = 0
+    r = n.bit_length()
+    ex, ey, ez = (int(e) + 2 for e in spec.extent)
+    if (ex * ey * ez - 1).bit_length() + r <= 63:
+        keys <<= r
+        keys |= np.arange(n)
+        keys.sort()
+        perm = keys & ((1 << r) - 1)
+        keys >>= r
+    else:
+        perm = np.argsort(keys)
+        keys = keys[perm]
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[perm] = np.cumsum(new) - 1
+    counts = np.diff(starts, append=n)
+    drop = int(n > 0 and keys[0] == 0)
+    means = np.empty((len(starts) - drop, values.shape[1]))
     for j in range(values.shape[1]):
-        means[:, j] = np.bincount(inverse, weights=values[:, j], minlength=len(uniq))[drop:]
+        means[:, j] = np.bincount(inverse, weights=values[:, j], minlength=len(starts))[drop:]
     means /= counts[drop:, None]
-    return _key_rows(uniq[drop:], spec.extent), means
+    return _key_rows(keys[starts[drop:]], spec.extent), means
 
 
 class SparseVoxelTensor:

@@ -70,6 +70,12 @@ def test_cloud_validation():
         SparsePointCloud(np.full((1, 5), np.nan))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cloud_rejects_non_finite_alpha(bad):
+    with pytest.raises(ValueError, match="alpha"):
+        SparsePointCloud(np.array([[10.0, 0.0, 0.0, bad, 0.0]]))
+
+
 def test_from_xyz_defaults():
     c = SparsePointCloud.from_xyz([[1, 2, 3]], beta=1.0)
     assert c.n == 1 and c.beta[0] == 1.0 and c.alpha[0] == 0.0

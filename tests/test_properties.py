@@ -1,8 +1,8 @@
 """Property tests of the fixed-cost paths against brute force: per-cell
 pooling and its gradient routing under many ties, the rank passes against
 segment reductions, find_rows on queries outside the extent, voxelize with
-points cropped on every face, and site_means and downsampled_sites against
-dict groupings."""
+points cropped on every face, point_indices against the broadcast formula,
+and site_means and downsampled_sites against dict groupings."""
 
 import math
 from fractions import Fraction
@@ -21,7 +21,7 @@ from virconv.conv import (
     conv2d_branch,
     conv2d_branch_backward,
 )
-from virconv.geometry import INVALID_2D, SparsePointCloud, voxelize
+from virconv.geometry import INVALID_2D, SparsePointCloud, point_indices, voxelize
 from virconv.oracle import dense_conv2d_branch
 from virconv.tensor import ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL, site_means
 
@@ -233,6 +233,42 @@ def test_voxelize_matches_per_voxel_python_mean(case):
         beta < 0.5, 0, np.where(beta > 0.5, 1, 2)).tolist()
 
 
+POINT_SPECS = [
+    VoxelGridSpec(origin=(0.0, -2.0, -1.0), voxel_size=(0.5, 0.5, 0.5), extent=(8, 8, 4)),
+    VoxelGridSpec(origin=(-3.7, 1.3, 0.9), voxel_size=(0.05, 0.05, 0.1), extent=(30, 20, 10),
+                  stride_level=2),
+]
+
+
+@st.composite
+def clouds_for_spec(draw):
+    """(spec, points): per axis, coordinates on cell edges from three cells
+    below the extent to three above, inside the (-1, 0) cell, at +-1e30, or
+    anywhere in between."""
+    spec = draw(st.sampled_from(POINT_SPECS))
+    axes = []
+    for a in range(3):
+        o, cs, e = spec.origin[a], spec.cell_size[a], spec.extent[a]
+        axes.append(st.one_of(
+            st.integers(-3, e + 3).map(lambda k, o=o, cs=cs: o + k * cs),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+                lambda f, o=o, cs=cs: o - f * cs),
+            st.sampled_from([1e30, -1e30]),
+            st.floats(-1e30, 1e30, allow_subnormal=False)))
+    xyz = draw(st.lists(st.tuples(*axes), max_size=30))
+    return spec, SparsePointCloud.from_xyz(np.array(xyz, np.float64).reshape(-1, 3))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=clouds_for_spec())
+@example(case=(POINT_SPECS[1], SparsePointCloud.empty()))
+def test_point_indices_match_the_broadcast_formula_bit_for_bit(case):
+    spec, cloud = case
+    want = np.clip(np.floor((cloud.xyz - np.asarray(spec.origin)) / spec.cell_size),
+                   -1, spec.extent).astype(np.int64)
+    assert_same_bits(point_indices(cloud, spec), want)
+
+
 @st.composite
 def rows_and_values(draw):
     """(extent, rows, values): rows run two voxels past each face of the
@@ -254,9 +290,40 @@ def rows_and_values(draw):
     return extent, rows, np.array(values, np.float64).reshape(len(rows), c)
 
 
+def face_rows(extent):
+    """Rows at -1, 0, extent - 1 and extent on each axis (the other axes at
+    mid-extent), both inside corners and a row past both far faces."""
+    rows = [(0, 0, 0), tuple(e - 1 for e in extent), tuple(extent)]
+    for axis in range(3):
+        for face in (-1, 0, extent[axis] - 1, extent[axis]):
+            r = [e // 2 for e in extent]
+            r[axis] = face
+            rows.append(tuple(r))
+    return rows
+
+
+def example_case(extent, rows):
+    return extent, rows, np.arange(2.0 * len(rows)).reshape(-1, 2) / 3
+
+
+# 2**20 per axis gives padded keys of 61 bits: with r = N.bit_length() row
+# bits, 2 or 3 rows pack into exactly 63 bits, 4 rows would need 64 and take
+# the argsort branch, as do the 15 rows of face_rows plus one repeat.
+BIG = (2 ** 20,) * 3
+TOP = tuple(e - 1 for e in BIG)
+SMALL_ROWS = [(x, y, z) for z in range(-1, 3) for y in range(-1, 3) for x in range(-1, 4)]
+
+
 @settings(deadline=None, max_examples=100)
 @given(case=rows_and_values())
 @example(case=((1, 1, 1), [], np.zeros((0, 2))))
+@example(case=example_case(BIG, face_rows(BIG) + [TOP]))
+@example(case=example_case(BIG, [TOP, (0, 0, 0), (-1, 0, 0), TOP]))
+@example(case=example_case(BIG, [TOP, (2 ** 20, 0, 0), (0, 0, 0)]))
+@example(case=example_case((3, 2, 2), SMALL_ROWS[:31]))
+@example(case=example_case((3, 2, 2), SMALL_ROWS[:32]))
+@example(case=example_case((3, 2, 2), SMALL_ROWS[:63]))
+@example(case=example_case((3, 2, 2), SMALL_ROWS[:64]))
 def test_site_means_matches_dict_grouping(case):
     extent, rows, values = case
     spec = VoxelGridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extent=extent)
