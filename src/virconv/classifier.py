@@ -20,10 +20,10 @@ from .conv import (
     submanifold_conv3d,
     submanifold_conv3d_backward,
 )
-from .geometry import AugmentationRecord, point_indices, project_voxels, voxelize
+from .geometry import AugmentationRecord, project_voxels, voxelize
 from .rng import SeededRng
 from .scene import Scene, SyntheticSceneSpec, synthetic_calibration
-from .tensor import VoxelGridSpec, site_means
+from .tensor import VoxelGridSpec, point_keys, site_means
 
 HEAD_NRCONV = "nrconv_head"
 HEAD_CONV3D = "conv3d_head"
@@ -79,7 +79,7 @@ def scene_to_dataset(scene: Scene) -> VoxelDataset:
     # Only the virtual cloud carries displaced points; including real returns
     # would let either head lean on the provenance flag instead of geometry.
     tensor = voxelize(scene.virtual, CLASSIFIER_GRID)
-    _, noisy = site_means(point_indices(scene.virtual, CLASSIFIER_GRID),
+    _, noisy = site_means(point_keys(scene.virtual.points, CLASSIFIER_GRID),
                           scene.noise_labels[:, None], CLASSIFIER_GRID)
     labels = noisy[:, 0] > 0.5
     h2d = project_voxels(tensor, AugmentationRecord.identity(),

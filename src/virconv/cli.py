@@ -47,6 +47,15 @@ def _tensor_checksum(tensor) -> str:
     return h.hexdigest()[:16]
 
 
+def _weights_digest(weights) -> str:
+    """SHA-256 of the parameters' little-endian float64 bytes, in parameter
+    order: equal weights hash equal wherever their checkpoint lives."""
+    h = hashlib.sha256()
+    for _, arr, _ in weights.params():
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def _read_cloud(lidar_path, virtual_path):
     """The LiDAR cloud, early-fused with the virtual cloud when one is given."""
     lidar = read_velodyne_bin(lidar_path)
@@ -81,7 +90,8 @@ def cmd_forward(args) -> int:
         "schema_version": CSV_SCHEMA_VERSION,
         "seed": args.seed,
         "config_hash": config_hash(
-            {"seed": args.seed, "no_stvd": args.no_stvd, "weights": args.weights or ""}
+            {"seed": args.seed, "no_stvd": args.no_stvd,
+             "weights": _weights_digest(weights) if args.weights else ""}
         ),
         "levels": [
             {

@@ -19,6 +19,7 @@ from .tensor import (
     SparseVoxelTensor,
     VoxelGridSpec,
     origin_flags_of,
+    point_keys,
     site_means,
 )
 
@@ -137,25 +138,6 @@ def default_grid_spec() -> VoxelGridSpec:
     )
 
 
-def point_indices(cloud: SparsePointCloud, spec: VoxelGridSpec) -> np.ndarray:
-    """(N, 3) int64 voxel index of each point, floor((xyz - origin) / cell
-    size); points outside the extent get indices outside it, clipped per axis
-    to [-1, extent] in float so that far points cast without overflow.
-
-    One axis at a time through one reused float column, so numpy's inner
-    loop runs N long, not 3; each element sees the same float operations.
-    """
-    out = np.empty((cloud.n, 3), dtype=np.int64)
-    col = np.empty(cloud.n)
-    for a, cs in enumerate(spec.cell_size):
-        np.subtract(cloud.points[:, a], spec.origin[a], out=col)
-        col /= cs
-        np.floor(col, out=col)
-        np.clip(col, -1.0, spec.extent[a], out=col)
-        out[:, a] = col
-    return out
-
-
 def voxelize(cloud: SparsePointCloud, spec: VoxelGridSpec) -> SparseVoxelTensor:
     """Points into voxels: one row per occupied cell, per-voxel mean features.
 
@@ -164,7 +146,7 @@ def voxelize(cloud: SparsePointCloud, spec: VoxelGridSpec) -> SparseVoxelTensor:
     so the beta column is the virtual-point fraction and sets the origin
     flag (origin_flags_of).
     """
-    sites, feats = site_means(point_indices(cloud, spec), cloud.points, spec)
+    sites, feats = site_means(point_keys(cloud.points, spec), cloud.points, spec)
     return SparseVoxelTensor(sites, feats, spec, origin_flags_of(feats[:, 4]), _validate=False)
 
 

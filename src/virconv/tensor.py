@@ -101,6 +101,17 @@ def _inside_extent(indices, extent) -> np.ndarray:
             & (u[:, 2] < np.uint64(extent[2])))
 
 
+def _index_rows(rows, name) -> np.ndarray:
+    """rows as a contiguous (N, 3) int64 array; an empty array of any shape is
+    zero rows. Raises ValueError for any other shape."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        return rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"{name} must be an (N, 3) array, got shape {rows.shape}")
+    return rows
+
+
 def _padded_keys(indices, extent) -> np.ndarray:
     """Scalar keys of (N, 3) index rows on the extent padded by one voxel per
     side: ((x+1)(ey+2) + y+1)(ez+2) + z+1.
@@ -124,11 +135,38 @@ def _key_rows(keys, extent) -> np.ndarray:
     return rows
 
 
-def site_means(indices, values, spec) -> tuple:
-    """(sites, means): the distinct rows of the (N, 3) indices that lie inside
-    spec.extent, in ascending key order, and per site the mean of each column
-    of the (N, C) values over its rows. Rows outside the extent are dropped;
-    C may be 0. Each column sum is one np.bincount, which adds in row order.
+def point_keys(points, spec) -> np.ndarray:
+    """Padded key (_padded_keys) of the voxel of each (x, y, z, ...) row of
+    the float points, 0 for a point outside spec.extent. The voxel index is
+    floor((xyz - origin) / cell size), clipped to [-1, extent] in float so
+    that far points cast without overflow. One axis at a time through reused
+    float and int columns, so no (N, 3) index block is built and each element
+    sees the same float operations as the broadcast formula.
+    """
+    n = len(points)
+    keys, outside = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    col, idx = np.empty(n), np.empty(n, dtype=np.int64)
+    for a, cs in enumerate(spec.cell_size):
+        e = int(spec.extent[a])
+        np.subtract(points[:, a], spec.origin[a], out=col)
+        col /= cs
+        np.floor(col, out=col)
+        np.clip(col, -1.0, e, out=col)
+        idx[...] = col
+        outside |= idx.view(np.uint64) >= np.uint64(e)   # -1 wraps above e
+        keys *= e + 2
+        keys += idx
+        keys += 1
+    keys[outside] = 0
+    return keys
+
+
+def site_means(keys, values, spec) -> tuple:
+    """(sites, means): the distinct nonzero (N,) padded keys on spec.extent as
+    (M, 3) index rows in ascending order, and per site the mean of each column
+    of the (N, C) values over its rows. Key 0 marks a row to drop; C may be 0;
+    keys is overwritten. Each column sum is one np.bincount, which adds in
+    row order.
 
     One sort groups the rows. With r = N.bit_length(), each key is packed as
     key << r | row and the packed keys are sorted in place: the high bits are
@@ -137,11 +175,7 @@ def site_means(indices, values, spec) -> tuple:
     np.argsort of the keys gives the permutation. Neither sort has to be
     stable, since np.bincount adds in row order however the inverse was built.
     """
-    n = len(indices)
-    keys = _padded_keys(indices, spec.extent)
-    # Rows outside share key 0, which sorts first and is dropped below;
-    # every inside row's padded key is at least 1.
-    keys[~_inside_extent(indices, spec.extent)] = 0
+    n = len(keys)
     r = n.bit_length()
     ex, ey, ez = (int(e) + 2 for e in spec.extent)
     if (ex * ey * ez - 1).bit_length() + r <= 63:
@@ -157,15 +191,23 @@ def site_means(indices, values, spec) -> tuple:
     new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     starts = np.flatnonzero(new)
+    drop = int(n > 0 and keys[0] == 0)   # key 0 sorts first
+    sites = _key_rows(keys[starts[drop:]], spec.extent)
+    # Each N-long buffer goes once nothing reads it: the sorted keys' buffer
+    # takes the site numbers, cumsum'd in place (from bool it would copy).
+    keys[...] = new
+    del new
+    np.cumsum(keys, out=keys)
+    keys -= 1
     inverse = np.empty(n, dtype=np.int64)
-    inverse[perm] = np.cumsum(new) - 1
+    inverse[perm] = keys
+    del keys, perm
     counts = np.diff(starts, append=n)
-    drop = int(n > 0 and keys[0] == 0)
     means = np.empty((len(starts) - drop, values.shape[1]))
     for j in range(values.shape[1]):
         means[:, j] = np.bincount(inverse, weights=values[:, j], minlength=len(starts))[drop:]
     means /= counts[drop:, None]
-    return _key_rows(keys[starts[drop:]], spec.extent), means
+    return sites, means
 
 
 class SparseVoxelTensor:
@@ -186,11 +228,7 @@ class SparseVoxelTensor:
     """
 
     def __init__(self, indices, features, spec, origin_flags=None, _validate=True):
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        if indices.size == 0:
-            indices = indices.reshape(0, 3)
-        elif indices.ndim != 2 or indices.shape[1] != 3:
-            raise ValueError(f"indices must be an (N, 3) array, got shape {indices.shape}")
+        indices = _index_rows(indices, "indices")
         features = np.ascontiguousarray(features, dtype=np.float64)
         if origin_flags is not None:
             origin_flags = np.ascontiguousarray(origin_flags)
@@ -247,9 +285,10 @@ class SparseVoxelTensor:
     def find_rows(self, indices) -> np.ndarray:
         """Row position of each query index, -1 where absent.
 
-        Queries outside the extent are reported absent.
+        Queries outside the extent are reported absent. Raises ValueError
+        unless the queries are (N, 3) or empty.
         """
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
+        indices = _index_rows(indices, "queries")
         rows = np.full(len(indices), -1, dtype=np.int64)
         sel = np.flatnonzero(_inside_extent(indices, self.spec.extent))
         [(hits, found)] = self.pairs_at(indices[sel], np.zeros((1, 3), np.int64))
@@ -263,10 +302,11 @@ class SparseVoxelTensor:
         base rows must lie inside the extent and offsets in {-1, 0, 1}^3, so
         that each offset is one add to the padded keys of base. Query rows
         ascend. Sites are unique, so when the queries are unique too, neither
-        side repeats within one offset.
+        side repeats within one offset. Raises ValueError unless base and
+        offsets are each (N, 3) or empty.
         """
-        base = np.asarray(base, dtype=np.int64).reshape(-1, 3)
-        offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, 3)
+        base = _index_rows(base, "base")
+        offsets = _index_rows(offsets, "offsets")
         extent = self.spec.extent
         if not _inside_extent(base, extent).all() or np.abs(offsets).max(initial=0) > 1:
             raise ValueError("pairs_at needs base rows inside the extent "
@@ -378,7 +418,8 @@ class SparseVoxelTensor:
         spec, flags = self.spec.downsampled(), self.origin_flags
         share = np.zeros((self.n, 0)) if flags is None else (
             (flags == ORIGIN_VIRTUAL) + 0.5 * (flags == ORIGIN_MIXED))[:, None]
-        sites, virtual_frac = site_means(self.indices // 2, share, spec)
+        sites, virtual_frac = site_means(_padded_keys(self.indices // 2, spec.extent),
+                                         share, spec)
         return spec, sites, None if flags is None else origin_flags_of(virtual_frac[:, 0])
 
     def take_rows(self, rows) -> "SparseVoxelTensor":

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from virconv import NetWeights, SeededRng, VirConvNetSpec
+from virconv.bench import config_hash
 from virconv.checkpoint import save_weights
 from virconv.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, main
 from virconv.geometry import read_fused_bin
@@ -89,6 +90,25 @@ def test_forward_names_the_parameter_of_a_non_finite_checkpoint(scene_dir, tmp_p
     assert run(["forward", "--lidar", scene_dir / "lidar.bin", "--calib",
                 scene_dir / "calib.txt", "--weights", weights]) == EXIT_PARSE
     assert f"parameter {entry['name']} holds non-finite values" in capsys.readouterr().err
+
+
+def test_forward_hash_follows_the_weights_not_their_path(scene_dir, tmp_path):
+    hashes = []
+    for name, seed in (("a", 0), ("b", 0), ("c", 1)):
+        (tmp_path / name).mkdir()
+        weights = tmp_path / name / "w.bin"
+        save_weights(weights, NetWeights.initialize(VirConvNetSpec.default(), SeededRng(seed)))
+        out = tmp_path / name / "summary.json"
+        assert run(["forward", "--lidar", scene_dir / "lidar.bin", "--calib",
+                    scene_dir / "calib.txt", "--weights", weights, "--out", out]) == EXIT_OK
+        hashes.append(json.loads(out.read_text())["config_hash"])
+    assert hashes[0] == hashes[1] != hashes[2]
+    # Without --weights the hash is the one every earlier summary carries.
+    out = tmp_path / "summary.json"
+    assert run(["forward", "--lidar", scene_dir / "lidar.bin", "--calib",
+                scene_dir / "calib.txt", "--out", out]) == EXIT_OK
+    assert json.loads(out.read_text())["config_hash"] == config_hash(
+        {"seed": 0, "no_stvd": False, "weights": ""})
 
 
 def test_forward_rejects_a_calibration_with_bad_numbers(scene_dir, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Point clouds, voxelization, augmentation, projection, and file formats."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +28,6 @@ from virconv.geometry import (
     INVALID_2D,
     MIN_CAMERA_DEPTH,
     FormatError,
-    point_indices,
     project_points_chain,
     read_fused_bin,
     read_velodyne_bin,
@@ -37,7 +37,7 @@ from virconv.geometry import (
     write_point_bin,
 )
 from virconv.scene import synthetic_calibration
-from virconv.tensor import ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL
+from virconv.tensor import ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL, _padded_keys, point_keys
 
 SMALL = VoxelGridSpec(origin=(0.0, -2.0, -1.0), voxel_size=(0.5, 0.5, 0.5),
                       extent=(8, 8, 4))
@@ -118,21 +118,46 @@ def test_voxelize_drops_far_points_without_a_cast_warning():
     cloud = SparsePointCloud.from_xyz(far + [[0.1, 0.1, 0.1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        idx = point_indices(cloud, SMALL)
+        keys = point_keys(cloud.points, SMALL)
         t = voxelize(cloud, SMALL)
-    assert ((idx >= -1) & (idx <= np.asarray(SMALL.extent))).all()
+    # Far points key as 0; (0, 4, 2) keys as ((0+1)(8+2) + 4+1)(4+2) + 2+1.
+    assert keys.tolist() == [0, 0, 0, 0, 93]
     assert np.array_equal(t.indices, [[0, 4, 2]])
 
 
 def test_voxelize_find_rows_of_point_indices_roundtrip(rng):
     cloud = make_cloud(rng)
     t = voxelize(cloud, SMALL)
-    rows = t.find_rows(point_indices(cloud, SMALL))
-    assert (rows >= 0).all()
     origin = np.asarray(SMALL.origin)
     idx = np.floor((cloud.xyz - origin) / SMALL.cell_size).astype(np.int64)
+    rows = t.find_rows(idx)
+    assert (rows >= 0).all()
     assert np.array_equal(t.indices[rows], idx)
-    assert np.array_equal(point_indices(cloud, SMALL), idx)
+    assert np.array_equal(point_keys(cloud.points, SMALL), _padded_keys(idx, SMALL.extent))
+
+
+# voxelize needs about 26 bytes per point: the point keys, one float and one
+# int column and two masks. An (N, 3) index block (24 more) or one int64
+# buffer kept past its last read (8 more) breaks the budget.
+VOXELIZE_BYTES_PER_POINT = 32
+
+
+def test_voxelize_peak_memory_stays_within_a_per_point_budget():
+    gen = np.random.default_rng(0)
+    n = 200_000   # 16,000 voxels; the points below x = 0 fall outside the grid
+    pts = np.zeros((n, 5))
+    pts[:, :3] = gen.uniform((-0.2, -1.0, -1.0), (2.0, 1.0, 0.0), (n, 3))
+    pts[:, 4] = gen.random(n) < 0.5
+    pts[:, 3] = np.where(pts[:, 4] == 0.0, gen.random(n), 0.0)
+    cloud = SparsePointCloud(pts)
+    tracemalloc.start()
+    try:
+        t = voxelize(cloud, default_grid_spec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.n == 16_000
+    assert peak <= VOXELIZE_BYTES_PER_POINT * n, f"{peak / n:.1f} bytes per point"
 
 
 def test_grid_points_center_convention():

@@ -1,7 +1,7 @@
 """Property tests of the fixed-cost paths against brute force: per-cell
 pooling and its gradient routing under many ties, the rank passes against
 segment reductions, find_rows on queries outside the extent, voxelize with
-points cropped on every face, point_indices against the broadcast formula,
+points cropped on every face, point_keys against the broadcast formula,
 and site_means and downsampled_sites against dict groupings."""
 
 import math
@@ -21,9 +21,16 @@ from virconv.conv import (
     conv2d_branch,
     conv2d_branch_backward,
 )
-from virconv.geometry import INVALID_2D, SparsePointCloud, point_indices, voxelize
+from virconv.geometry import INVALID_2D, SparsePointCloud, voxelize
 from virconv.oracle import dense_conv2d_branch
-from virconv.tensor import ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL, site_means
+from virconv.tensor import (
+    ORIGIN_LIDAR,
+    ORIGIN_MIXED,
+    ORIGIN_VIRTUAL,
+    _padded_keys,
+    point_keys,
+    site_means,
+)
 
 LEAKY = ActivationSpec("leaky_relu", 0.1)
 OFFS_2D = [(du, dv) for dv in (-1, 0, 1) for du in (-1, 0, 1)]
@@ -262,11 +269,13 @@ def clouds_for_spec(draw):
 @settings(deadline=None, max_examples=150)
 @given(case=clouds_for_spec())
 @example(case=(POINT_SPECS[1], SparsePointCloud.empty()))
-def test_point_indices_match_the_broadcast_formula_bit_for_bit(case):
+def test_point_keys_match_the_broadcast_formula_bit_for_bit(case):
     spec, cloud = case
-    want = np.clip(np.floor((cloud.xyz - np.asarray(spec.origin)) / spec.cell_size),
-                   -1, spec.extent).astype(np.int64)
-    assert_same_bits(point_indices(cloud, spec), want)
+    idx = np.clip(np.floor((cloud.xyz - np.asarray(spec.origin)) / spec.cell_size),
+                  -1, spec.extent).astype(np.int64)
+    inside = ((idx >= 0) & (idx < np.asarray(spec.extent))).all(axis=1)
+    want = np.where(inside, _padded_keys(idx, spec.extent), 0)
+    assert_same_bits(point_keys(cloud.points, spec), want)
 
 
 @st.composite
@@ -327,9 +336,10 @@ SMALL_ROWS = [(x, y, z) for z in range(-1, 3) for y in range(-1, 3) for x in ran
 def test_site_means_matches_dict_grouping(case):
     extent, rows, values = case
     spec = VoxelGridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extent=extent)
+    inside = [all(0 <= row[a] < extent[a] for a in range(3)) for row in rows]
     members = {}
     for r, row in enumerate(rows):
-        if all(0 <= row[a] < extent[a] for a in range(3)):
+        if inside[r]:
             members.setdefault(row, []).append(r)
     sites = sorted(members)
     want = np.zeros((len(sites), values.shape[1]))
@@ -337,7 +347,8 @@ def test_site_means_matches_dict_grouping(case):
         for r in members[site]:   # in row order, from 0.0, as np.bincount adds
             want[i] += values[r]
         want[i] /= len(members[site])
-    got_sites, got = site_means(np.array(rows, np.int64).reshape(-1, 3), values, spec)
+    keys = _padded_keys(np.array(rows, np.int64).reshape(-1, 3), extent)
+    got_sites, got = site_means(np.where(inside, keys, 0), values, spec)
     assert got_sites.tolist() == [list(s) for s in sites]
     assert_same_bits(got, want)
 

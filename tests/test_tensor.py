@@ -68,6 +68,22 @@ def test_indices_that_are_not_n_by_3_rejected():
     # An empty array of any shape is zero sites.
     for idx in ([], np.zeros((0, 2))):
         assert SparseVoxelTensor(idx, np.zeros((0, 1)), SPEC).indices.shape == (0, 3)
+    # Queries and offsets follow the same rule: a (3, 2) array is not read as
+    # the two sites its six numbers spell.
+    t = SparseVoxelTensor([(0, 1, 2), (1, 2, 3)], np.zeros((2, 1)), SPEC)
+    for bad in (np.array([[0, 1], [2, 1], [2, 3]]), np.array([1, 2, 3]), np.ones((1, 3, 1))):
+        with pytest.raises(ValueError, match=r"queries must be an \(N, 3\) array"):
+            t.find_rows(bad)
+        with pytest.raises(ValueError, match=r"base must be an \(N, 3\) array"):
+            t.pairs_at(bad, OFFSETS_3D)
+        with pytest.raises(ValueError, match=r"offsets must be an \(N, 3\) array"):
+            t.pairs_at(t.indices, np.minimum(bad, 1))
+    for empty in ([], np.zeros((0, 2))):
+        assert t.find_rows(empty).shape == (0,)
+        assert all(len(q) == len(r) == 0 for q, r in t.pairs_at(empty, OFFSETS_3D))
+        assert t.pairs_at(t.indices, empty) == []
+    assert t.find_rows([(1, 2, 3)]).tolist() == [1]
+    assert [q.tolist() for q, _ in t.pairs_at([(0, 1, 2)], [(1, 1, 1)])] == [[0]]
 
 
 def test_arrays_are_frozen():
