@@ -13,24 +13,26 @@ All of them are one layer over different pair maps. A pair map lists, per
 kernel offset k, (output rows, input rows); a ConvWeights holds the kernel
 stack w (K, C_in, C_out), the bias and their gradients. One step,
 _pair_conv, computes act(bias + X[in rows] @ w[k] summed into the output
-rows) and saves what _pair_conv_backward needs: the inputs and the bool mask
-pre > 0, all that ActivationSpec.deriv reads. Each op only supplies its
-map: tensor.kernel_map() for the 3D branch (KernelWeights.conv3d), the cell
-pairs of tensor.cell_map(h2d) for the 2D branch (KernelWeights.conv2d), and
-tensor.pairs_at(2 * out, OFFSETS_3D) for the downsample (SpconvWeights, the
-27-offset ConvWeights). Every site lookup belongs to SparseVoxelTensor,
-which caches both maps per site set (and h2d). Per offset, every pair map
-is injective in both directions, so scatters are plain fancy-index
-accumulation. The centre tap of both submanifold maps is one shared arange
-on both sides; the step runs it on X directly, without index arrays, in
-its place in offset order. Within a cell, rows go in rank passes: the k-th
-members of all cells form pass k, where no cell repeats, so pooling, its
-argmax and the cell sums are one fancy-index update per pass, in row order.
+rows). Each op only supplies its map: tensor.kernel_map() for the 3D branch
+(KernelWeights.conv3d), the cell pairs of tensor.cell_map(h2d) for the 2D
+branch (KernelWeights.conv2d), and tensor.pairs_at(2 * out, OFFSETS_3D) for
+the downsample (SpconvWeights, the 27-offset ConvWeights). Every site lookup
+belongs to SparseVoxelTensor, which caches both maps per site set (and h2d).
+Per offset, every pair map is injective in both directions, so scatters are
+plain fancy-index accumulation. The centre tap of both submanifold maps is
+one shared arange on both sides; the step runs it on X directly, without
+index arrays, in its place in offset order. Within a cell, rows go in rank
+passes: the k-th members of all cells form pass k, where no cell repeats, so
+pooling, its winners and the cell sums are one fancy-index update per pass,
+in row order.
 
 Backward passes are exact: pass a Ctx to a forward call, then call the
 matching *_backward with the upstream gradient. Weight gradients accumulate
 into the weights' grad buffers; the input-feature gradient is returned. All
-math is float64.
+math is float64. A Ctx keeps the forward's features and maps by reference,
+plus the bool mask pre > 0 (all that ActivationSpec.deriv reads) and, in the
+2D branch, an unsigned (M, C_in) rank: the pass whose member won each pooled
+max. No Ctx keeps the pooled features; the 2D backward pools them again.
 """
 
 from dataclasses import dataclass, field
@@ -240,25 +242,20 @@ def submanifold_conv3d_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     return _pair_conv_backward(d, grad_out * d["act"].deriv(d["positive"]))
 
 
-def _cell_max(X: np.ndarray, first, passes) -> np.ndarray:
-    """(M, C) per-cell channel max of the rows of X, one rank pass at a time."""
+def _cell_max(X: np.ndarray, first, passes, ctx: Ctx = None) -> np.ndarray:
+    """(M, C) per-cell channel max of the rows of X, one rank pass at a time.
+    Given a ctx, saves rank: the pass whose row last raised each max strictly
+    (0 for first), so the first max in row order wins (the tie rule)."""
     pooled = X[first]
-    for rows, cells in passes:
-        pooled[cells] = np.maximum(pooled[cells], X[rows])
+    rank = None if ctx is None else np.zeros(pooled.shape, np.min_scalar_type(len(passes)))
+    for p, (rows, cells) in enumerate(passes, 1):
+        old, new = pooled[cells], X[rows]
+        if rank is not None:
+            rank[cells] = np.where(new > old, p, rank[cells])
+        pooled[cells] = np.maximum(old, new)
+    if ctx is not None:
+        ctx.save(rank=rank)
     return pooled
-
-
-def _cell_argmax(X: np.ndarray, pooled: np.ndarray, first, passes) -> np.ndarray:
-    """(M, C) row of the member that won each per-cell channel max. Passes
-    run last to first, each overwriting where its rows hold the max, so the
-    first max in row order wins (the tie rule) and every entry is written."""
-    winners = np.empty(pooled.shape, dtype=np.int64)
-    for rows, cells in reversed(passes):
-        won = winners[cells]
-        np.copyto(won, rows[:, None], where=X[rows] == pooled[cells])
-        winners[cells] = won
-    np.copyto(winners, first[:, None], where=X[first] == pooled)
-    return winners
 
 
 def _cell_sum(G: np.ndarray, first, passes) -> np.ndarray:
@@ -284,10 +281,10 @@ def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
     conv = weights.conv2d
     _check_width(tensor, conv)
     valid, first, passes, pairs = tensor.cell_map(h2d)
-    if ctx is not None:
-        ctx.save(tensor=tensor, valid=valid, first=first, passes=passes)
-    pooled = _cell_max(tensor.features, first, passes)
-    cell_out = _pair_conv(pooled, pairs, conv, len(first), act, ctx)
+    cell_out = _pair_conv(_cell_max(tensor.features, first, passes, ctx), pairs, conv,
+                          len(first), act, ctx)
+    if ctx is not None:   # the rank, not pooled: the backward pools the features again
+        ctx.save(tensor=tensor, valid=valid, first=first, passes=passes, X=None)
     out = np.empty((tensor.n, conv.c_out))
     out[~valid] = act.apply(conv.bias[None, :])
     out[first] = cell_out
@@ -298,24 +295,27 @@ def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
 
 def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     d = ctx.require("conv2d_branch")
-    conv, act, X, pooled = d["conv"], d["act"], d["tensor"].features, d["X"]
+    conv, act, X, rank = d["conv"], d["act"], d["tensor"].features, d["rank"]
     valid, first, passes = d["valid"], d["first"], d["passes"]
-    gX = np.zeros_like(X)
 
     # Invalid-projection rows saw act(bias) only.
     g_invalid = grad_out[~valid]
     if len(g_invalid):
         conv.g_bias += (g_invalid * act.deriv(conv.bias[None, :])).sum(axis=0)
     if len(first) == 0:
-        return gX
+        return np.zeros_like(X)
 
     # The cell output gradient is the sum over member voxels.
-    gpre = _cell_sum(grad_out, first, passes) * act.deriv(d["positive"])
-    g_pooled = _pair_conv_backward(d, gpre)
+    g_pooled = _pair_conv_backward(
+        dict(d, X=_cell_max(X, first, passes)),
+        _cell_sum(grad_out, first, passes) * act.deriv(d["positive"]))
 
-    # Route pooled gradients to the argmax member per (cell, channel). A row
-    # belongs to one cell, so no (row, channel) target repeats.
-    gX[_cell_argmax(X, pooled, first, passes), np.arange(X.shape[1])] += g_pooled
+    # Route pooled gradients, pass by pass, to the member whose pass the
+    # rank names per (cell, channel); each row is in one pass, once.
+    gX = np.zeros_like(X)
+    gX[first] += np.where(rank == 0, g_pooled, 0.0)
+    for p, (rows, cells) in enumerate(passes, 1):
+        gX[rows] += np.where(rank[cells] == p, g_pooled[cells], 0.0)
     return gX
 
 
@@ -325,8 +325,7 @@ def nrconv(tensor: SparseVoxelTensor, h2d: np.ndarray, weights: KernelWeights,
 
     Output sites equal input sites; origin flags carry through.
     """
-    ctx3 = Ctx() if ctx is not None else None
-    ctx2 = Ctx() if ctx is not None else None
+    ctx3, ctx2 = (Ctx(), Ctx()) if ctx is not None else (None, None)
     out3 = submanifold_conv3d(tensor, weights, act, ctx3).features
     out2 = conv2d_branch(tensor, h2d, weights, act, ctx2)
     if ctx is not None:
@@ -337,9 +336,10 @@ def nrconv(tensor: SparseVoxelTensor, h2d: np.ndarray, weights: KernelWeights,
 def nrconv_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     d = ctx.require("nrconv")
     ch = d["c_half"]
-    g3 = submanifold_conv3d_backward(d["ctx3"], grad_out[:, :ch])
     g2 = conv2d_branch_backward(d["ctx2"], grad_out[:, ch:])
-    return g3 + g2
+    g3 = submanifold_conv3d_backward(d["ctx3"], grad_out[:, :ch])
+    g3 += g2
+    return g3
 
 
 def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,

@@ -9,6 +9,7 @@ camera ray with some probability and labelled as noise.
 """
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -47,6 +48,10 @@ class SyntheticSceneSpec:
     noise_magnitude: float = 1.0         # max displacement along the camera ray, m
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lidar_density <= 0 or self.virtual_multiplier <= 0:
             raise ValueError("densities must be positive")
         if not (0.0 <= self.boundary_noise_rate <= 1.0):

@@ -206,6 +206,28 @@ def test_scene_spec_range_errors_are_config_errors(tmp_path, capsys, raw, field)
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"virtual_multiplier": Infinity}', "virtual_multiplier"),
+    ('{"x_range": [8.0, Infinity]}', "x_range"),
+    ('{"size_max": [Infinity, 2.0, 1.8]}', "size_max"),
+    ('{"virtual_multiplier": NaN}', "virtual_multiplier"),
+    ('{"lidar_density": NaN}', "lidar_density"),
+    ('{"lidar_density": Infinity}', "lidar_density"),
+    ('{"ground_z": NaN}', "ground_z")])
+def test_non_finite_scene_spec_is_config_error_naming_the_field(tmp_path, capsys, text,
+                                                                field):
+    # Python's json reads Infinity and NaN, so they reach the spec's checks.
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["synth", "--spec", spec_file, "--out", tmp_path / "s"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be finite") and err.count("\n") == 1
+    assert not (tmp_path / "s").exists()
+
+
 def test_scene_spec_range_limits_are_accepted():
     spec = SyntheticSceneSpec(num_objects=0, noise_magnitude=0.0, x_range=(8.0, 8.5),
                               size_min=(2.0, 1.0, 1.0), size_max=(2.0, 1.0, 1.0))

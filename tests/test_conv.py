@@ -1,5 +1,7 @@
 """Sparse convolution forwards against the dense reference implementations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -278,4 +280,54 @@ def test_ctx_saves_only_the_sign_of_the_pre_activation(rng):
         assert positive.dtype == np.bool_ and "pre" not in ctx.data
         if pre is not None:   # identity: the output is pre itself
             assert np.array_equal(positive, pre > 0)
+    pooled_shape = (len(ctx2.data["first"]), kw.c_in)
     assert ctx2.data["positive"].shape == (len(ctx2.data["first"]), kw.c_half)
+    # The 2D tape keeps the winners' pass ranks, not a pooled float copy.
+    rank = ctx2.data["rank"]
+    assert rank.dtype.kind == "u" and rank.shape == pooled_shape
+    assert not [key for key, v in ctx2.data.items() if isinstance(v, np.ndarray)
+                and v.dtype.kind == "f" and v.shape == pooled_shape]
+
+
+def test_nrconv_with_and_without_a_ctx_returns_the_same_bytes():
+    """The training forward records the pool winners as it pools; it must
+    pool exactly as inference does. Features of a few values (signed zeros
+    included) tie often, and about four rows share each cell."""
+    rng = SeededRng(11)
+    t = random_tensor(rng, c=4)
+    t = t.with_features(rng.gen.choice([-1.0, -0.0, 0.0, 1.0], size=t.features.shape))
+    h2d = random_h2d(rng, t.n, span=6)
+    kw = KernelWeights.initialize(4, 6, rng)
+    plain = nrconv(t, h2d, kw, IDENTITY).features
+    taped = nrconv(t, h2d, kw, IDENTITY, Ctx()).features
+    assert plain.tobytes() == taped.tobytes()
+
+
+# One nrconv forward plus backward needs about 40 bytes per input feature
+# value here (N = 2,048 rows, M = 1,382 cells, C_in = C_out = 64): the output
+# and the 2D input gradient (8 each), the 3D backward's gradient, gpre and
+# per-offset gathers (about 22), and the tape's masks and uint8 rank (about
+# 1.5). A pooled float64 copy on the tape (M * C_in * 8, 5.4 more) or an
+# int64 winners array breaks the budget.
+NRCONV_BYTES_PER_FEATURE_VALUE = 42
+
+
+def test_nrconv_forward_and_backward_peak_memory_stays_within_budget():
+    rng = SeededRng(0)
+    t = random_tensor(rng, extent=(16, 16, 16), occupancy=0.5, c=64)
+    h2d = rng.gen.integers(0, 48, size=(t.n, 2))
+    kw = KernelWeights.initialize(64, 64, rng)
+    grad = rng.gen.normal(size=(t.n, 64))
+    t.kernel_map(), t.cell_map(h2d)   # the maps are cached per tensor, not taped
+    tracemalloc.start()
+    try:
+        ctx = Ctx()
+        out = nrconv(t, h2d, kw, RELU, ctx)   # the next layer's input: live in training
+        gX = nrconv_backward(ctx, grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.n == t.n and gX.shape == t.features.shape and len(t.cell_map(h2d)[1]) == 1382
+    values = t.features.size
+    assert peak <= NRCONV_BYTES_PER_FEATURE_VALUE * values, \
+        f"{peak / values:.1f} bytes per feature value"

@@ -1,8 +1,9 @@
 """Property tests of the fixed-cost paths against brute force: per-cell
-pooling and its gradient routing under many ties, the rank passes against
-segment reductions, find_rows on queries outside the extent, voxelize with
-points cropped on every face, point_keys against the broadcast formula,
-and site_means and downsampled_sites against dict groupings."""
+pooling and its gradient routing under many ties, the rank passes (pooling,
+the recorded winner pass, cell sums) against segment reductions, find_rows
+on queries outside the extent, voxelize with points cropped on every face,
+point_keys against the broadcast formula, and site_means and
+downsampled_sites against dict groupings."""
 
 import math
 from fractions import Fraction
@@ -15,7 +16,6 @@ from virconv import ActivationSpec, KernelWeights, SeededRng, SparseVoxelTensor,
 from virconv.classifier import roc_auc
 from virconv.conv import (
     Ctx,
-    _cell_argmax,
     _cell_max,
     _cell_sum,
     conv2d_branch,
@@ -153,9 +153,17 @@ def test_rank_passes_match_segment_reductions_bit_for_bit(case, all_invalid, see
         assert np.all(rows > first[cells])
     want_first, pooled, winners, sums = segment_reference(X, G, h2d)
     assert_same_bits(first, want_first)
-    got_pooled = _cell_max(X, first, passes)
-    assert_same_bits(got_pooled, pooled)
-    assert_same_bits(_cell_argmax(X, got_pooled, first, passes), winners)
+    ctx = Ctx()
+    assert_same_bits(_cell_max(X, first, passes, ctx), pooled)
+    assert_same_bits(_cell_max(X, first, passes), pooled)
+    # The recorded rank names the pass of each max's winner; look its row up.
+    rank = ctx.data["rank"]
+    assert rank.dtype.kind == "u" and rank.shape == pooled.shape
+    pass_rows = np.full((len(passes) + 1, len(first)), -1, np.int64)
+    pass_rows[0] = first
+    for p, (rows, cells) in enumerate(passes, 1):
+        pass_rows[p, cells] = rows
+    assert_same_bits(pass_rows[rank, np.arange(len(first))[:, None]], winners)
     assert_same_bits(_cell_sum(G, first, passes), sums)
 
 
