@@ -3,9 +3,10 @@
 Scenes contain axis-aligned box obstacles observed by a co-located LiDAR and
 camera at the origin (x forward, y left, z up). LiDAR points sample visible
 box faces with range-decaying density. Virtual points are ray-cast densely,
-one bundle per covered image pixel, mimicking depth-completion output: points
-whose pixel sits on an instance silhouette boundary are displaced along the
-camera ray with some probability and labelled as noise.
+one bundle per covered image pixel, mimicking depth-completion output; each
+box is ray-cast only over its image footprint. Points whose pixel sits on an
+instance silhouette boundary are displaced along the camera ray with some
+probability and labelled as noise.
 """
 
 import json
@@ -173,31 +174,41 @@ def _ray_dirs(us, vs):
 
 
 def _ray_box_enter(dirs, box: Box):
-    """Slab-method entry depth (in forward-x units) per ray; inf if missed."""
+    """Slab-method entry depth (in forward-x units) per ray; inf if missed.
+    One axis at a time; np.maximum/minimum propagate NaN as a max/min would."""
     lo, hi = box.lo, box.hi
+    enter, exit_ = np.full(len(dirs), -np.inf), np.full(len(dirs), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = lo / dirs
-        t2 = hi / dirs
-    tmin = np.minimum(t1, t2)
-    tmax = np.maximum(t1, t2)
-    enter = tmin.max(axis=1)
-    exit_ = tmax.min(axis=1)
+        for a in range(3):
+            t1, t2 = lo[a] / dirs[:, a], hi[a] / dirs[:, a]
+            np.maximum(enter, np.minimum(t1, t2), out=enter)
+            np.minimum(exit_, np.maximum(t1, t2), out=exit_)
     hit = (enter <= exit_) & (exit_ > 0)
     return np.where(hit & (enter > 0.2), enter, np.inf)
 
 
 def _instance_map(boxes):
-    """Per-pixel nearest instance id (-1 background) and entry depth."""
-    us, vs = np.meshgrid(np.arange(IMAGE_W) + 0.5, np.arange(IMAGE_H) + 0.5)
-    dirs = _ray_dirs(us.ravel(), vs.ravel())
-    depth = np.full(len(dirs), np.inf)
-    ids = np.full(len(dirs), -1, dtype=np.int64)
+    """Per-pixel nearest instance id (-1 background) and entry depth. Each box
+    is cast only over its footprint, the bounding rectangle of its projected
+    corners plus one pixel: no ray outside it can enter the convex box. A box
+    reaching x <= 0 has no bounded projection and is cast over the whole image."""
+    depth = np.full((IMAGE_H, IMAGE_W), np.inf)
+    ids = np.full((IMAGE_H, IMAGE_W), -1, dtype=np.int64)
     for i, b in enumerate(boxes):
-        t = _ray_box_enter(dirs, b)
-        closer = t < depth
-        depth[closer] = t[closer]
-        ids[closer] = i
-    return ids.reshape(IMAGE_H, IMAGE_W), depth.reshape(IMAGE_H, IMAGE_W)
+        lo, hi = b.lo, b.hi
+        v0, v1, u0, u1 = 0, IMAGE_H, 0, IMAGE_W
+        if lo[0] > 0:   # u = W/2 - F y/x, v = H/2 - F z/x invert _ray_dirs
+            x = [lo[0], hi[0]]
+            u = IMAGE_W / 2.0 - FOCAL * np.divide.outer([lo[1], hi[1]], x)
+            v = IMAGE_H / 2.0 - FOCAL * np.divide.outer([lo[2], hi[2]], x)
+            u0, u1 = np.clip([np.floor(u.min()) - 1, np.ceil(u.max()) + 1], 0, IMAGE_W).astype(int)
+            v0, v1 = np.clip([np.floor(v.min()) - 1, np.ceil(v.max()) + 1], 0, IMAGE_H).astype(int)
+        vs, us = np.mgrid[v0:v1, u0:u1] + 0.5
+        t = _ray_box_enter(_ray_dirs(us.ravel(), vs.ravel()), b).reshape(us.shape)
+        win_depth, win_ids = depth[v0:v1, u0:u1], ids[v0:v1, u0:u1]
+        closer = t < win_depth
+        win_depth[closer], win_ids[closer] = t[closer], i
+    return ids, depth
 
 
 def _shifted(a: np.ndarray, dv: int, du: int, fill) -> np.ndarray:

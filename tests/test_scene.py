@@ -1,7 +1,13 @@
-"""Synthetic scene generator: geometry, labels, and directory round-trips."""
+"""Synthetic scene generator: geometry, labels, and directory round-trips;
+the pinned bytes of the two benchmark scenes; the per-axis slab test and the
+footprint-windowed instance map against their full formulas."""
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from virconv import SeededRng
 from virconv.geometry import project_to_image
@@ -9,8 +15,11 @@ from virconv.scene import (
     BOUNDARY_BAND_PX,
     IMAGE_H,
     IMAGE_W,
+    Box,
     SyntheticSceneSpec,
     _instance_map,
+    _ray_box_enter,
+    _ray_dirs,
     generate_scene,
     load_scene,
     load_scene_calib,
@@ -107,3 +116,130 @@ def test_noise_magnitude_moves_points():
     assert base.virtual.n == quiet.virtual.n
     moved = np.linalg.norm(base.virtual.xyz - quiet.virtual.xyz, axis=1)
     assert (moved[~base.noise_labels] == 0).all()
+
+
+# perfbench/reference.json holds the benchmark's outputs on these two scenes,
+# so it is valid only while generate_scene reproduces them byte for byte:
+# (spec, seed) -> sha256 of the lidar points, virtual points and noise labels.
+PINNED_SCENES = {
+    "default": (SyntheticSceneSpec(), 0, (
+        "7b7abeec5e847a651606a5c08ff6cc3f3328868e595d547c3c1e72317c740fc9",
+        "bed244aa97c3eb7efb924a32058316b573981c26f2939c79755f8cf5d8a6c083",
+        "a7e3fb927296d7c32d735c93595fc917e5ed2d80e9df573150910d14de0864a3")),
+    # The acceptance c4 dense scene (perfbench's DENSE_SCENE).
+    "c4": (SyntheticSceneSpec(num_objects=10, x_range=(7.0, 28.0),
+                              y_range=(-14.0, 14.0), virtual_multiplier=8.0,
+                              noise_magnitude=1.5), 42, (
+        "98e8851550c9ff1ddf4705a8175f868d2a321f4585c71725f20b959f71a1f47a",
+        "f2e1ac740e325ae5bac51a8ccf9a4ef17f3e98e9879666802033e21e00a1ab3f",
+        "ec1f605ead97889ab163e2aff3e08ccfc84891b7587ca51bcbc05763c0311dc3")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENES))
+def test_benchmark_scenes_are_pinned(name):
+    spec, seed, digests = PINNED_SCENES[name]
+    s = generate_scene(spec, SeededRng(seed))
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                for a in (s.lidar.points, s.virtual.points, s.noise_labels))
+    assert got == digests
+
+
+def slab_enter_reference(dirs, box):
+    """The (N, 3) broadcast slab formula that _ray_box_enter must equal."""
+    lo, hi = box.lo, box.hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1, t2 = lo / dirs, hi / dirs
+    enter = np.minimum(t1, t2).max(axis=1)
+    exit_ = np.maximum(t1, t2).min(axis=1)
+    hit = (enter <= exit_) & (exit_ > 0)
+    return np.where(hit & (enter > 0.2), enter, np.inf)
+
+
+# Exact binary values, so faces land at exactly 0, boxes straddle x = 0 and
+# corner rays pass exactly through corners; general floats besides.
+COORD = st.one_of(st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0]),
+                  st.floats(-20.0, 20.0))
+COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]),
+                      st.floats(-3.0, 3.0))
+
+
+@st.composite
+def boxes_and_rays(draw):
+    lo, hi = zip(*(sorted(draw(st.tuples(COORD, COORD))) for _ in range(3)))
+    lo, hi = np.array(lo), np.array(hi)
+    # center -+ size / 2 gives back the sampled coordinates exactly; both
+    # formulas read box.lo and box.hi either way.
+    box = Box(center=tuple((lo + hi) / 2), size=tuple(hi - lo))
+    rays = draw(st.lists(st.tuples(COMPONENT, COMPONENT, COMPONENT), max_size=20))
+    corners = draw(st.lists(st.tuples(*(st.sampled_from([0, 1]) for _ in range(3))),
+                            max_size=8))
+    scale = draw(st.sampled_from([1.0, 0.5, 2.0, -1.0]))
+    rays += [tuple(scale * (box.hi[a] if c else box.lo[a]) for a, c in enumerate(cs))
+             for cs in corners]
+    return np.array(rays, dtype=np.float64).reshape(-1, 3), box
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=boxes_and_rays())
+# A box from x = -1 to 2 with its z face at 0: rays with zero y or z
+# components, through the corners at x = -1 and x = 2, and along the x axis.
+@example(case=(np.array([[1.0, 0.0, 0.5], [1.0, 0.5, 0.0], [-1.0, 1.0, 0.0],
+                         [2.0, -0.5, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+               Box(center=(0.5, 0.25, 0.5), size=(3.0, 1.5, 1.0))))
+def test_ray_box_enter_matches_the_broadcast_slab_formula_bit_for_bit(case):
+    dirs, box = case
+    with np.errstate(over="ignore"):   # a tiny component overflows to inf in both
+        got, want = _ray_box_enter(dirs, box), slab_enter_reference(dirs, box)
+    assert got.tobytes() == want.tobytes()
+
+
+def full_image_scan(boxes):
+    """Every pixel's ray against every box, nearest entry wins."""
+    us, vs = np.meshgrid(np.arange(IMAGE_W) + 0.5, np.arange(IMAGE_H) + 0.5)
+    dirs = _ray_dirs(us.ravel(), vs.ravel())
+    depth = np.full(len(dirs), np.inf)
+    ids = np.full(len(dirs), -1, dtype=np.int64)
+    for i, b in enumerate(boxes):
+        t = slab_enter_reference(dirs, b)
+        closer = t < depth
+        depth[closer] = t[closer]
+        ids[closer] = i
+    return ids.reshape(IMAGE_H, IMAGE_W), depth.reshape(IMAGE_H, IMAGE_W)
+
+
+CUBE = (2.0, 2.0, 2.0)
+# |y| / x = 1.52 and |z| / x = 0.46 are the image's left/right and top/bottom
+# edges, so each of the first boxes straddles one edge (or a corner).
+FOOTPRINT_CASES = {
+    "left_edge": [Box((10.0, 15.2, 0.3), CUBE)],
+    "right_edge": [Box((10.0, -15.2, -0.2), CUBE)],
+    "top_edge": [Box((10.0, 1.1, 4.6), CUBE)],
+    "bottom_edge": [Box((10.0, -0.7, -4.6), CUBE)],
+    "corner": [Box((12.0, -18.2, 5.5), (3.0, 2.5, 2.0))],
+    # Beyond the left edge, above the top edge, and behind the camera.
+    "off_image": [Box((10.0, 40.0, 0.0), CUBE), Box((10.0, 0.0, 30.0), CUBE),
+                  Box((-10.0, 0.0, 0.0), CUBE)],
+    # lo[0] = -0.1 <= 0: the rays that enter it fill the image's left part.
+    "straddles_x0": [Box((1.45, 1.5, 0.0), (3.1, 1.0, 1.0))],
+    "x_near_0.1": [Box((1.1, -1.5, 0.2), (2.0, 1.0, 1.0)),
+                   Box((1.15, 0.4, -0.3), (2.1, 0.5, 0.6))],
+    # Overlapping in the image, listed far to near and near to far.
+    "overlap": [Box((30.0, 0.5, 0.3), (4.0, 6.0, 3.0)), Box((12.0, -0.3, -0.2), CUBE),
+                Box((20.0, -1.7, 0.1), (3.0, 3.0, 2.5)), Box((25.0, -4.5, 0.0), CUBE)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOOTPRINT_CASES))
+def test_instance_map_matches_a_full_image_scan(name):
+    boxes = FOOTPRINT_CASES[name]
+    ids, depth = _instance_map(boxes)
+    want_ids, want_depth = full_image_scan(boxes)
+    assert ids.shape == depth.shape == (IMAGE_H, IMAGE_W)
+    assert ids.tobytes() == want_ids.tobytes()
+    assert depth.tobytes() == want_depth.tobytes()
+    # Every box shows, except those off the image.
+    seen = set(np.unique(ids[ids >= 0]).tolist())
+    assert seen == (set() if name == "off_image" else set(range(len(boxes))))
+    if name == "overlap":   # the centre ray enters boxes 0 and 1; the nearer wins
+        assert ids[IMAGE_H // 2, IMAGE_W // 2] == 1
