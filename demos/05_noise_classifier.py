@@ -13,7 +13,12 @@ operator, once with its 3D-only sibling - and compares held-out AUC.
 Run:  python3 demos/05_noise_classifier.py   (takes a couple of minutes)
 """
 
-from virconv import SeededRng, default_classifier_scene_spec, train_noise_classifier
+from virconv import (
+    SeededRng,
+    default_classifier_scene_spec,
+    scene_to_dataset,
+    train_noise_classifier,
+)
 from virconv.scene import generate_scene
 
 spec = default_classifier_scene_spec()
@@ -21,8 +26,8 @@ print(f"scenes: {spec.num_objects} distant boxes at x in {spec.x_range} m, "
       f"{spec.boundary_noise_rate:.0%} of boundary points displaced by up to "
       f"{spec.noise_magnitude} m")
 
-train = [generate_scene(spec, SeededRng(100 + i)) for i in range(4)]
-evals = [generate_scene(spec, SeededRng(200 + i)) for i in range(3)]
+train = [scene_to_dataset(generate_scene(spec, SeededRng(100 + i))) for i in range(4)]
+evals = [scene_to_dataset(generate_scene(spec, SeededRng(200 + i))) for i in range(3)]
 
 results = {}
 for head in ("nrconv_head", "conv3d_head"):

@@ -175,13 +175,12 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def train_noise_classifier(train_scenes, eval_scenes, head: str, rng: SeededRng) -> dict:
-    """Train CLASSIFIER_EPOCHS steps at CLASSIFIER_LR, report held-out AUC.
+def train_noise_classifier(train_ds, eval_ds, head: str, rng: SeededRng) -> dict:
+    """Train CLASSIFIER_EPOCHS steps at CLASSIFIER_LR on the VoxelDatasets
+    train_ds, report held-out AUC on eval_ds.
 
-    Fully deterministic given the rng seed and scene set.
+    Fully deterministic given the rng seed and datasets.
     """
-    train_ds = [scene_to_dataset(s) for s in train_scenes]
-    eval_ds = [scene_to_dataset(s) for s in eval_scenes]
     model = NoiseClassifier(head=head, rng=rng)
     losses = []
     for _ in range(CLASSIFIER_EPOCHS):

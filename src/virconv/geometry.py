@@ -250,19 +250,12 @@ def _read_records(path, width: int) -> np.ndarray:
 def read_velodyne_bin(path) -> SparsePointCloud:
     """LiDAR scan: consecutive little-endian float32 [x, y, z, alpha] records."""
     rec = _read_records(path, 4)
-    pts = np.zeros((len(rec), 5))
-    pts[:, :3] = rec[:, :3]
-    pts[:, 3] = np.clip(rec[:, 3], 0.0, 1.0)
-    return SparsePointCloud(pts)
+    return SparsePointCloud.from_xyz(rec[:, :3], alpha=np.clip(rec[:, 3], 0.0, 1.0))
 
 
 def read_virtual_bin(path) -> SparsePointCloud:
     """Virtual points: same record layout; alpha ignored, beta forced to 1."""
-    rec = _read_records(path, 4)
-    pts = np.zeros((len(rec), 5))
-    pts[:, :3] = rec[:, :3]
-    pts[:, 4] = 1.0
-    return SparsePointCloud(pts)
+    return SparsePointCloud.from_xyz(_read_records(path, 4)[:, :3], beta=1.0)
 
 
 def write_point_bin(path, cloud: SparsePointCloud):

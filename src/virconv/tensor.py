@@ -161,23 +161,15 @@ def point_keys(points, spec) -> np.ndarray:
     return keys
 
 
-def site_means(keys, values, spec) -> tuple:
-    """(sites, means): the distinct nonzero (N,) padded keys on spec.extent as
-    (M, 3) index rows in ascending order, and per site the mean of each column
-    of the (N, C) values over its rows. Key 0 marks a row to drop; C may be 0;
-    keys is overwritten. Each column sum is one np.bincount, which adds in
-    row order.
-
-    One sort groups the rows. With r = N.bit_length(), each key is packed as
-    key << r | row and the packed keys are sorted in place: the high bits are
-    then the sorted keys and the low r bits the permutation. That needs the
-    largest padded key's bit length plus r to be at most 63; past that,
-    np.argsort of the keys gives the permutation. Neither sort has to be
-    stable, since np.bincount adds in row order however the inverse was built.
-    """
+def _group(keys, extent) -> tuple:
+    """(sorted keys, perm, new) of (N,) padded keys on extent, overwriting
+    keys: sorted = keys[perm] with ties in row order, and new marks where each
+    run of equal keys starts. With r = N.bit_length(), key << r | row is sorted
+    in place, its high bits the keys and its low r bits perm, when the largest
+    padded key's bit length plus r is at most 63; past that, a stable argsort."""
     n = len(keys)
     r = n.bit_length()
-    ex, ey, ez = (int(e) + 2 for e in spec.extent)
+    ex, ey, ez = (int(e) + 2 for e in extent)
     if (ex * ey * ez - 1).bit_length() + r <= 63:
         keys <<= r
         keys |= np.arange(n)
@@ -185,11 +177,22 @@ def site_means(keys, values, spec) -> tuple:
         perm = keys & ((1 << r) - 1)
         keys >>= r
     else:
-        perm = np.argsort(keys)
+        perm = np.argsort(keys, kind="stable")
         keys = keys[perm]
     new = np.empty(n, dtype=bool)
     new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys, perm, new
+
+
+def site_means(keys, values, spec) -> tuple:
+    """(sites, means): the distinct nonzero (N,) padded keys on spec.extent as
+    (M, 3) index rows in ascending order, and per site the mean of each column
+    of the (N, C) values over its rows. Key 0 marks a row to drop; C may be 0;
+    keys is overwritten. _group sorts with ties in row order, and each column
+    sum is one np.bincount, which adds in row order."""
+    n = len(keys)
+    keys, perm, new = _group(keys, spec.extent)
     starts = np.flatnonzero(new)
     drop = int(n > 0 and keys[0] == 0)   # key 0 sorts first
     sites = _key_rows(keys[starts[drop:]], spec.extent)
@@ -202,11 +205,10 @@ def site_means(keys, values, spec) -> tuple:
     inverse = np.empty(n, dtype=np.int64)
     inverse[perm] = keys
     del keys, perm
-    counts = np.diff(starts, append=n)
     means = np.empty((len(starts) - drop, values.shape[1]))
     for j in range(values.shape[1]):
         means[:, j] = np.bincount(inverse, weights=values[:, j], minlength=len(starts))[drop:]
-    means /= counts[drop:, None]
+    means /= np.diff(starts, append=n)[drop:, None]
     return sites, means
 
 
@@ -270,9 +272,8 @@ class SparseVoxelTensor:
     def sorted_keys(self):
         """(sorted padded keys, row order) cached for vectorized gathers."""
         if self._sorted is None:
-            keys = _padded_keys(self.indices, self.spec.extent)
-            order = np.argsort(keys, kind="stable")
-            self._sorted = (keys[order], order)
+            self._sorted = _group(_padded_keys(self.indices, self.spec.extent),
+                                  self.spec.extent)[:2]
         return self._sorted
 
     def _locate(self, keys):
@@ -375,9 +376,8 @@ class SparseVoxelTensor:
             flat[:, :2] -= flat[:, :2].min(axis=0)
         spec = VoxelGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
                              tuple(int(e) for e in flat.max(axis=0, initial=0) + 1))
-        keys = _padded_keys(flat, spec.extent)
-        order = np.argsort(keys, kind="stable")
-        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))   # keys are positive
+        _, order, new = _group(_padded_keys(flat, spec.extent), spec.extent)
+        starts = np.flatnonzero(new)
         grid = SparseVoxelTensor(flat[order[starts]], np.zeros((len(starts), 0)), spec,
                                  _validate=False)
         order = rows[order]

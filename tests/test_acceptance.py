@@ -15,7 +15,6 @@ from virconv import (
     AugmentationRecord,
     KernelWeights,
     NetWeights,
-    NoiseClassifier,
     SeededRng,
     SparseVoxelTensor,
     SpconvWeights,
@@ -32,6 +31,7 @@ from virconv import (
     project_to_image,
     roc_auc,
     scene_to_dataset,
+    train_noise_classifier,
     virconvnet_forward,
 )
 from virconv.classifier import HEAD_CONV3D, HEAD_NRCONV, VoxelDataset
@@ -256,11 +256,8 @@ def test_c7_image_branch_beats_3d_only_on_noise_classification():
              for i in range(3)]
     eval_labels = np.concatenate([d.labels for d in evals])
 
-    def fit(head, datasets, seed=7):
-        model = NoiseClassifier(head=head, rng=SeededRng(seed))
-        for _ in range(120):
-            model.train_step(datasets, 0.8)
-        return np.concatenate([model.scores(d) for d in evals])
+    def fit(head, datasets):
+        return train_noise_classifier(datasets, evals, head, SeededRng(7))["eval_scores"]
 
     auc_nr = roc_auc(fit(HEAD_NRCONV, train), eval_labels)
     auc_3d = roc_auc(fit(HEAD_CONV3D, train), eval_labels)
