@@ -18,13 +18,14 @@ rows). Each op only supplies its map: tensor.kernel_map() for the 3D branch
 branch (KernelWeights.conv2d), and tensor.pairs_at(2 * out, OFFSETS_3D) for
 the downsample (SpconvWeights, the 27-offset ConvWeights). Every site lookup
 belongs to SparseVoxelTensor, which caches both maps per site set (and h2d).
-Per offset, every pair map is injective in both directions, so scatters are
-plain fancy-index accumulation. The centre tap of both submanifold maps is
-one shared arange on both sides; the step runs it on X directly, without
-index arrays, in its place in offset order. Within a cell, rows go in rank
-passes: the k-th members of all cells form pass k, where no cell repeats, so
-pooling, its winners and the cell sums are one fancy-index update per pass,
-in row order.
+Per offset, every pair map is injective in both directions, so no scatter
+needs np.add.at: the forward writes each output row back whole, as one void
+item, and the backward accumulates with fancy indexing. The centre tap of
+both submanifold maps is one shared arange on both sides; the step runs it
+on X directly, without index arrays, in its place in offset order. Within a
+cell, rows go in rank passes: the k-th members of all cells form pass k,
+where no cell repeats, so pooling, its winners and the cell sums are one
+fancy-index update per pass, in row order.
 
 Backward passes are exact: pass a Ctx to a forward call, then call the
 matching *_backward with the upstream gradient. Weight gradients accumulate
@@ -202,11 +203,15 @@ def _pair_conv(X: np.ndarray, pairs, conv: ConvWeights, n_out: int,
     a submanifold map) adds X @ w[k] without gather or scatter. Given a ctx,
     saves X, pairs, conv, act and the mask pre > 0 for _pair_conv_backward."""
     pre = np.broadcast_to(conv.bias, (n_out, conv.c_out)).copy()
-    for k, (out_rows, in_rows) in enumerate(pairs):
+    # Scatters move whole rows as void items; width 0 has none, and nothing to add.
+    rows = pre.view(np.dtype((np.void, 8 * conv.c_out)))[:, 0] if conv.c_out else None
+    for k, (out_rows, in_rows) in enumerate(pairs if conv.c_out else ()):
         if out_rows is in_rows:
             pre += X @ conv.w[k]
         elif len(out_rows):
-            pre[out_rows] += X[in_rows] @ conv.w[k]
+            part = X.take(in_rows, axis=0) @ conv.w[k]
+            part += pre.take(out_rows, axis=0)   # pre + part: the same bits
+            rows[out_rows] = part.view(rows.dtype)[:, 0]
     if ctx is not None:
         ctx.save(X=X, pairs=pairs, conv=conv, act=act, positive=pre > 0)
     return act.apply(pre)

@@ -164,13 +164,16 @@ def point_keys(points, spec) -> np.ndarray:
 def _group(keys, extent) -> tuple:
     """(sorted keys, perm, new) of (N,) padded keys on extent, overwriting
     keys: sorted = keys[perm] with ties in row order, and new marks where each
-    run of equal keys starts. With r = N.bit_length(), key << r | row is sorted
-    in place, its high bits the keys and its low r bits perm, when the largest
-    padded key's bit length plus r is at most 63; past that, a stable argsort."""
+    run of equal keys starts. Keys that already ascend stay, perm = arange.
+    Else, with r = N.bit_length(), key << r | row is sorted in place, its
+    high bits the keys and its low r bits perm, when the largest padded key's
+    bit length plus r is at most 63; past that, a stable argsort."""
     n = len(keys)
     r = n.bit_length()
     ex, ey, ez = (int(e) + 2 for e in extent)
-    if (ex * ey * ez - 1).bit_length() + r <= 63:
+    if np.all(keys[1:] >= keys[:-1]):
+        perm = np.arange(n)
+    elif (ex * ey * ez - 1).bit_length() + r <= 63:
         keys <<= r
         keys |= np.arange(n)
         keys.sort()
@@ -221,12 +224,13 @@ class SparseVoxelTensor:
         ORIGIN_MIXED}, tracking point provenance per voxel.
 
     Every site lookup goes through sorted _padded_keys: a query row is keyed
-    once, and each kernel offset is one scalar add and one searchsorted in
-    pairs_at. One mirrored self-pair search, _self_pairs, builds both
-    submanifold maps: the 27-offset kernel map of the sites, and the 9-offset
-    map of the pixel cells in cell_map. These lookup structures are built
-    lazily, once per site set (and h2d): `with_features` shares them, while
-    `take_rows` and every new tensor start without.
+    once, and pairs_at makes one searchsorted per (dx, dy) column of offsets,
+    then walks up the column, where padded keys step by 1 in z. _self_pairs
+    searches a column-complete half and mirrors it, for both submanifold maps:
+    the 27-offset kernel map of the sites, and the 9-offset map of the pixel
+    cells in cell_map. These lookup structures are built lazily, once per
+    site set (and h2d): `with_features` shares them, while `take_rows` and
+    every new tensor start without.
     """
 
     def __init__(self, indices, features, spec, origin_flags=None, _validate=True):
@@ -317,36 +321,42 @@ class SparseVoxelTensor:
             return [(empty, empty) for _ in offsets]
         keys = _padded_keys(base, extent)
         shifts = _padded_keys(offsets, extent) - _padded_keys(np.zeros((1, 3), np.int64), extent)
-        order = self.sorted_keys()[1]
-        pairs = []
-        for shift in shifts:
-            pos, hit = self._locate(keys + shift)
+        skeys, order = self.sorted_keys()
+        pairs, column = [None] * len(offsets), None
+        for k in np.argsort(shifts, kind="stable"):   # (dx, dy) columns, each by dz
+            if tuple(offsets[k, :2]) != column:         # one search per column
+                column, at = tuple(offsets[k, :2]), shifts[k]
+                pos, hit = self._locate(keys + at)
+            for at in range(at + 1, shifts[k] + 1):     # one dz step is one key up
+                pos += hit   # past a hit, the next key can only sit at pos + 1
+                hit = skeys.take(pos, mode="clip") == keys + at
             rows = np.flatnonzero(hit)
-            pairs.append((rows, order[pos[rows]]))
+            pairs[k] = (rows, order[pos[rows]])
         return pairs
 
     def _self_pairs(self, offsets) -> list:
         """Per offsets[k], the read-only (out rows, in rows) with indices[in]
         == indices[out] + offsets[k]; out rows ascend. offsets is symmetric
-        about a zero centre (offsets[-1 - k] == -offsets[k]), so only the
-        strict first half is searched: the centre pairs each row with itself,
-        and pair -1 - k is pair k swapped, re-sorted if its out rows do not
-        ascend."""
-        half = len(offsets) // 2
-        pairs = self.pairs_at(self.indices, offsets[:half])
-        pairs.append((np.arange(self.n),) * 2)
-        for out_rows, in_rows in pairs[half - 1::-1]:
+        about a zero centre (offsets[-1 - k] == -offsets[k]). pairs_at searches
+        the column-complete half: (dx, dy) columns with (dy, dx) > (0, 0), and
+        (0, 0, +1). The centre pairs each row with itself; pair -1 - k is pair
+        k swapped, re-sorted if its out rows do not ascend."""
+        half = np.flatnonzero([(dy, dx, dz) > (0, 0, 0) for dx, dy, dz in offsets.tolist()])
+        pairs = [None] * len(offsets)
+        pairs[len(offsets) // 2] = (np.arange(self.n),) * 2
+        for k, (out_rows, in_rows) in zip(half, self.pairs_at(self.indices, offsets[half])):
+            pairs[k] = (out_rows, in_rows)
             if np.any(in_rows[1:] < in_rows[:-1]):
                 by_in = np.argsort(in_rows, kind="stable")
                 in_rows, out_rows = in_rows[by_in], out_rows[by_in]
-            pairs.append((in_rows, out_rows))
+            pairs[-1 - k] = (in_rows, out_rows)
         for arr in (a for pair in pairs for a in pair):
             arr.setflags(write=False)
         return pairs
 
     def kernel_map(self) -> tuple:
         """Submanifold 3x3x3 kernel map: _self_pairs(OFFSETS_3D), which
-        searches 13 of the 27 offsets, built once per site set and cached."""
+        searches 5 columns of 13 offsets, built once per site set and cached."""
         if self._kernel_map is None:
             self._kernel_map = tuple(self._self_pairs(OFFSETS_3D))
         return self._kernel_map

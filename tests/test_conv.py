@@ -239,6 +239,33 @@ def test_empty_tensor_passthrough(rng):
     assert out.n == 0 and out.spec.stride_level == 2
 
 
+@pytest.mark.parametrize("c_in, c_half", [(0, 1), (3, 0)], ids=["c_in=0", "c_out=0"])
+def test_zero_widths_give_bias_rows(c_in, c_half):
+    """With no input channels every output row is act(bias); with no output
+    channels every output is (rows, 0). The backward gives zero rows of
+    width C_in."""
+    rng = SeededRng(8)
+    t = random_tensor(rng, c=c_in)
+    h2d = random_h2d(rng, t.n)
+    kw = KernelWeights.initialize(c_in, 2 * c_half, rng)
+    sw = SpconvWeights.initialize(c_in, 2 * c_half, rng)
+    for conv in (kw.conv3d, kw.conv2d, sw):
+        conv.bias[...] = rng.gen.normal(size=conv.bias.shape)
+    ctx, ctxd = Ctx(), Ctx()
+    down = spconv_downsample(t, sw, LEAKY, ctxd)
+    assert down.n == len(np.unique(t.indices // 2, axis=0))
+    halves = [LEAKY.apply(kw.conv3d.bias), LEAKY.apply(kw.conv2d.bias)]
+    for out, row, n in ((submanifold_conv3d(t, kw, LEAKY).features, halves[0], t.n),
+                        (conv2d_branch(t, h2d, kw, LEAKY), halves[1], t.n),
+                        (nrconv(t, h2d, kw, LEAKY, ctx).features, np.concatenate(halves), t.n),
+                        (down.features, LEAKY.apply(sw.bias), down.n)):
+        assert out.dtype == np.float64 and out.shape == (n, len(row))
+        assert np.array_equal(out, np.broadcast_to(row, out.shape))
+    for gX in (nrconv_backward(ctx, np.ones((t.n, 2 * c_half))),
+               spconv_downsample_backward(ctxd, np.ones((down.n, 2 * c_half)))):
+        assert np.array_equal(gX, np.zeros((t.n, c_in)))
+
+
 def _split_centre(pairs) -> list:
     """The pairs with a shared centre (out rows is in rows) replaced by two
     equal but distinct aranges, which take the indexed path."""

@@ -1,7 +1,7 @@
 """The one grouping sort of padded keys, tensor._group, against a stable
 argsort; sorted_keys and cell_map against the argsort formulas they were
-first written with; and row-permutation equivariance of the ops built on
-them, which needs no oracle."""
+first written with; and row-permutation and translation equivariance of the
+ops built on them, which need no oracle."""
 
 import math
 
@@ -39,12 +39,16 @@ def stable_group(keys):
 @st.composite
 def key_sets(draw):
     """(extent, (N,) padded keys): up to 80 keys drawn from a pool of at most
-    six, so runs of equal keys are long, key 0 and the largest key included."""
+    six, so runs of equal keys are long, key 0 and the largest key included;
+    one case in three already ascends, as site sets built by site_means do."""
     extent = draw(st.sampled_from(EXTENTS))
     top = math.prod(e + 2 for e in extent) - 1
     pool = draw(st.lists(st.sampled_from([0, top]) | st.integers(0, top),
                          min_size=1, max_size=6))
-    return extent, np.array(draw(st.lists(st.sampled_from(pool), max_size=80)), np.int64)
+    keys = draw(st.lists(st.sampled_from(pool), max_size=80))
+    if draw(st.integers(0, 2)) == 0:
+        keys.sort()
+    return extent, np.array(keys, np.int64)
 
 
 @settings(deadline=None, max_examples=150)
@@ -54,6 +58,8 @@ def key_sets(draw):
 @example(case=(BIG, np.array([9, 3, 9], np.int64)))
 @example(case=(BIG, np.array([5, 2] * 20 + [7], np.int64)))
 @example(case=((3, 2, 2), np.array([4, 1, 4] * 15, np.int64)))
+@example(case=((3, 2, 2), np.array([0, 0, 3, 5, 5, 5, 47], np.int64)))
+@example(case=(BIG, np.array([2, 9, 9, 9, math.prod(e + 2 for e in BIG) - 1], np.int64)))
 def test_group_is_a_stable_argsort_with_run_starts(case):
     extent, keys = case
     got = _group(keys.copy(), extent)
@@ -135,4 +141,36 @@ def test_ops_commute_with_a_row_permutation_bit_for_bit(seed, extent, n):
     a, b = spconv_downsample(t, down, LEAKY), spconv_downsample(p, down, LEAKY)
     for x, y in ((a.indices, b.indices), (a.features, b.features),
                  (a.origin_flags, b.origin_flags)):
+        assert_same_bits(y, x)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 60),
+       shift=st.tuples(*(st.integers(-4, 4),) * 3),
+       half=st.tuples(*(st.integers(-2, 2),) * 3))
+def test_ops_commute_with_a_translation_bit_for_bit(seed, n, shift, half):
+    """Sites drawn in the box [4, 4 + (4, 3, 5)) of a (12, 11, 13) grid and
+    moved by shift stay inside it. submanifold_conv3d, and nrconv with the
+    same h2d, give the same bytes; the downsample of a move by 2 * half puts
+    the same bytes at its output sites moved by half."""
+    rng = SeededRng(seed)
+    spec = VoxelGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (12, 11, 13))
+    box = shuffled_tensor(rng, (4, 3, 5), n)
+    t = SparseVoxelTensor(box.indices + 4, box.features, spec, box.origin_flags)
+
+    def moved(by):
+        return SparseVoxelTensor(t.indices + np.array(by), t.features, spec, t.origin_flags)
+
+    h2d = random_h2d(rng, t.n, span=4, invalid_frac=0.2)
+    kw = KernelWeights.initialize(t.width, 4, rng)
+    for conv in (kw.conv3d, kw.conv2d):
+        conv.bias[...] = rng.gen.normal(size=conv.bias.shape)
+    for op in (lambda x: submanifold_conv3d(x, kw, LEAKY).features,
+               lambda x: nrconv(x, h2d, kw, LEAKY).features):
+        assert_same_bits(op(moved(shift)), op(t))
+    down = SpconvWeights.initialize(t.width, 3, rng)
+    a = spconv_downsample(t, down, LEAKY)
+    b = spconv_downsample(moved(2 * np.array(half)), down, LEAKY)
+    assert_same_bits(b.indices, a.indices + np.array(half))
+    for x, y in ((a.features, b.features), (a.origin_flags, b.origin_flags)):
         assert_same_bits(y, x)

@@ -5,7 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from virconv import (
@@ -86,6 +86,45 @@ def test_pairs_at_rejects_queries_it_cannot_key():
         t.pairs_at(t.indices, np.array([[2, 0, 0]]))
 
 
+@st.composite
+def pair_queries(draw):
+    """(extent, sites, base, offsets) for pairs_at. Sites as site_sets draws
+    them plus up to three whole z columns, so column walks run into the
+    z = 0 and z = extent - 1 faces and past the last sorted key. Base rows in
+    any order, repeated or none, drawn from the sites and the extent. Offsets
+    are any subset of OFFSETS_3D in any order, one offset, or whole columns
+    with a gap (dz in {-1, +1} only)."""
+    extent, sites = draw(site_sets())
+    xy = st.tuples(st.integers(0, extent[0] - 1), st.integers(0, extent[1] - 1))
+    for x, y in draw(st.lists(xy, max_size=3)):
+        sites += [(x, y, z) for z in range(extent[2])]
+    sites = list(dict.fromkeys(sites))
+    cell = st.tuples(*(st.integers(0, e - 1) for e in extent))
+    base = draw(st.lists(st.sampled_from(sites) | cell if sites else cell, max_size=30))
+    kind = draw(st.sampled_from(["subset", "single", "gaps"]))
+    if kind == "gaps":   # OFFSETS_3D[c] and OFFSETS_3D[18 + c]: column c at dz = -1, +1
+        cols = draw(st.lists(st.integers(0, 8), min_size=1, max_size=9, unique=True))
+        ks = draw(st.permutations(cols + [18 + c for c in cols]))
+    else:
+        ks = draw(st.lists(st.integers(0, 26), min_size=kind == "single",
+                           max_size=1 if kind == "single" else 27, unique=True))
+    return extent, sites, base, OFFSETS_3D[np.array(ks, np.int64)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=pair_queries())
+@example(case=((1, 1, 3), [(0, 0, 2), (0, 0, 0), (0, 0, 1)], [(0, 0, 2), (0, 0, 0), (0, 0, 2)],
+               OFFSETS_3D[[22, 4, 13]]))
+@example(case=((2, 2, 2), [(1, 1, 1), (1, 1, 0)], [], OFFSETS_3D))
+def test_pairs_at_matches_brute_force_on_any_offset_set(case):
+    extent, sites, base, offsets = case
+    spec = VoxelGridSpec(origin=(0.0, 0.0, 0.0), voxel_size=(1.0, 1.0, 1.0), extent=extent)
+    t = SparseVoxelTensor(np.array(sites, np.int64).reshape(-1, 3), np.zeros((len(sites), 1)),
+                          spec)
+    got = t.pairs_at(np.array(base, np.int64).reshape(-1, 3), offsets)
+    assert_pairs_equal(got, brute_pairs(sites, base, offsets))
+
+
 @settings(deadline=None, max_examples=80)
 @given(case=site_sets(), seed=st.integers(0, 1000))
 def test_kernel_maps_match_bruteforce_and_are_injective(case, seed):
@@ -159,14 +198,17 @@ def test_kernel_map_mirrors_the_searched_half_on_any_row_order(case, order):
                 == set(zip(kmap[k][1].tolist(), kmap[k][0].tolist())))
 
 
-def test_kernel_map_searches_thirteen_offsets_and_cell_map_four(rng, monkeypatch):
+def test_map_builds_search_once_per_dx_dy_column(rng, monkeypatch):
+    """One searchsorted per (dx, dy) column: the kernel map searches its 5
+    half columns, the cell map its 4 half offsets and the downsample map all
+    9 columns; a cached map searches nothing."""
     searches = []
     locate = SparseVoxelTensor._locate
     monkeypatch.setattr(SparseVoxelTensor, "_locate",
                         lambda self, keys: searches.append(len(keys)) or locate(self, keys))
     t = random_tensor(rng)
     t.kernel_map()
-    assert searches == [t.n] * 13
+    assert searches == [t.n] * 5
     h2d = random_h2d(rng, t.n)
     searches.clear()
     first = t.cell_map(h2d)[1]
@@ -175,6 +217,8 @@ def test_kernel_map_searches_thirteen_offsets_and_cell_map_four(rng, monkeypatch
     t.kernel_map()
     t.with_features(np.zeros((t.n, 1))).cell_map(h2d.copy())
     assert searches == []
+    out = spconv_downsample(t, SpconvWeights.initialize(t.width, 2, rng))
+    assert searches == [out.n] * 9
 
 
 @st.composite
