@@ -34,6 +34,8 @@ math is float64. A Ctx keeps the forward's features and maps by reference,
 plus the bool mask pre > 0 (all that ActivationSpec.deriv reads) and, in the
 2D branch, an unsigned (M, C_in) rank: the pass whose member won each pooled
 max. No Ctx keeps the pooled features; the 2D backward pools them again.
+A Ctx serves one backward, which empties it, so the tape shrinks as the
+backward runs; a second backward on it raises RuntimeError.
 """
 
 from dataclasses import dataclass, field
@@ -174,25 +176,31 @@ class SpconvWeights(ConvWeights):
 
 
 class Ctx:
-    """Saved forward state for a backward pass."""
+    """Saved forward state for one backward pass."""
 
     def __init__(self):
-        self.filled = False
         self.data = {}
 
     def save(self, **kw):
         self.data.update(kw)
-        self.filled = True
 
     def require(self, op: str) -> dict:
-        if not self.filled:
-            raise RuntimeError(f"{op} backward called before forward")
-        return self.data
+        """The saved state, handed over once: the Ctx is left empty."""
+        if not self.data:
+            raise RuntimeError(f"{op} backward called before forward or twice")
+        data, self.data = self.data, {}
+        return data
 
 
 def _check_width(tensor: SparseVoxelTensor, conv: ConvWeights):
     if tensor.width != conv.c_in:
         raise ValueError(f"feature width {tensor.width} does not match kernel C_in {conv.c_in}")
+
+
+def _row_items(a: np.ndarray) -> np.ndarray:
+    """(n,) view of a C-contiguous (n, C) array, one void item per row, so that
+    a fancy-index write moves whole rows; width 0 has no rows to move."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0] if a.shape[1] else a
 
 
 def _pair_conv(X: np.ndarray, pairs, conv: ConvWeights, n_out: int,
@@ -203,15 +211,15 @@ def _pair_conv(X: np.ndarray, pairs, conv: ConvWeights, n_out: int,
     a submanifold map) adds X @ w[k] without gather or scatter. Given a ctx,
     saves X, pairs, conv, act and the mask pre > 0 for _pair_conv_backward."""
     pre = np.broadcast_to(conv.bias, (n_out, conv.c_out)).copy()
-    # Scatters move whole rows as void items; width 0 has none, and nothing to add.
-    rows = pre.view(np.dtype((np.void, 8 * conv.c_out)))[:, 0] if conv.c_out else None
+    # Scatters move whole rows as void items; width 0 has nothing to add.
+    rows = _row_items(pre)
     for k, (out_rows, in_rows) in enumerate(pairs if conv.c_out else ()):
         if out_rows is in_rows:
             pre += X @ conv.w[k]
         elif len(out_rows):
             part = X.take(in_rows, axis=0) @ conv.w[k]
             part += pre.take(out_rows, axis=0)   # pre + part: the same bits
-            rows[out_rows] = part.view(rows.dtype)[:, 0]
+            rows[out_rows] = _row_items(part)
     if ctx is not None:
         ctx.save(X=X, pairs=pairs, conv=conv, act=act, positive=pre > 0)
     return act.apply(pre)
@@ -251,13 +259,14 @@ def _cell_max(X: np.ndarray, first, passes, ctx: Ctx = None) -> np.ndarray:
     """(M, C) per-cell channel max of the rows of X, one rank pass at a time.
     Given a ctx, saves rank: the pass whose row last raised each max strictly
     (0 for first), so the first max in row order wins (the tie rule)."""
-    pooled = X[first]
+    pooled = X.take(first, axis=0)
     rank = None if ctx is None else np.zeros(pooled.shape, np.min_scalar_type(len(passes)))
     for p, (rows, cells) in enumerate(passes, 1):
-        old, new = pooled[cells], X[rows]
+        old, new = pooled.take(cells, axis=0), X.take(rows, axis=0)
         if rank is not None:
-            rank[cells] = np.where(new > old, p, rank[cells])
-        pooled[cells] = np.maximum(old, new)
+            won = np.where(new > old, p, rank.take(cells, axis=0))
+            _row_items(rank)[cells] = _row_items(won)
+        _row_items(pooled)[cells] = _row_items(np.maximum(old, new, out=old))
     if ctx is not None:
         ctx.save(rank=rank)
     return pooled
@@ -292,9 +301,10 @@ def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
         ctx.save(tensor=tensor, valid=valid, first=first, passes=passes, X=None)
     out = np.empty((tensor.n, conv.c_out))
     out[~valid] = act.apply(conv.bias[None, :])
-    out[first] = cell_out
+    slots, items = _row_items(out), _row_items(cell_out)
+    slots[first] = items
     for rows, cells in passes:
-        out[rows] = cell_out[cells]
+        slots[rows] = items[cells]
     return out
 
 
@@ -341,7 +351,7 @@ def nrconv(tensor: SparseVoxelTensor, h2d: np.ndarray, weights: KernelWeights,
 def nrconv_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     d = ctx.require("nrconv")
     ch = d["c_half"]
-    g2 = conv2d_branch_backward(d["ctx2"], grad_out[:, ch:])
+    g2 = conv2d_branch_backward(d.pop("ctx2"), grad_out[:, ch:])
     g3 = submanifold_conv3d_backward(d["ctx3"], grad_out[:, :ch])
     g3 += g2
     return g3

@@ -1,6 +1,7 @@
 """Sparse convolution forwards against the dense reference implementations."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from virconv.conv import (
     Ctx,
     _pair_conv,
     _pair_conv_backward,
+    conv2d_branch_backward,
     nrconv_backward,
     spconv_downsample_backward,
+    submanifold_conv3d_backward,
 )
 from virconv.geometry import INVALID_2D
 from virconv.oracle import (
@@ -358,3 +361,48 @@ def test_nrconv_forward_and_backward_peak_memory_stays_within_budget():
     values = t.features.size
     assert peak <= NRCONV_BYTES_PER_FEATURE_VALUE * values, \
         f"{peak / values:.1f} bytes per feature value"
+
+
+def test_each_backward_empties_its_ctx_and_refuses_a_second_call(rng):
+    """A Ctx serves one backward, which hands its saved state over and leaves
+    it empty (nrconv's two inner Ctx objects too); a backward on an empty Ctx,
+    fresh or spent, raises."""
+    t = random_tensor(rng, c=3)
+    h2d = random_h2d(rng, t.n)
+    kw, sw = KernelWeights.initialize(3, 4, rng), SpconvWeights.initialize(3, 4, rng)
+    cases = [
+        (lambda ctx: submanifold_conv3d(t, kw, LEAKY, ctx).features, submanifold_conv3d_backward),
+        (lambda ctx: conv2d_branch(t, h2d, kw, LEAKY, ctx), conv2d_branch_backward),
+        (lambda ctx: nrconv(t, h2d, kw, LEAKY, ctx).features, nrconv_backward),
+        (lambda ctx: spconv_downsample(t, sw, LEAKY, ctx).features, spconv_downsample_backward),
+    ]
+    for forward, backward in cases:
+        with pytest.raises(RuntimeError, match="before forward or twice"):
+            backward(Ctx(), np.ones((t.n, 2)))
+        ctx = Ctx()
+        grad = np.ones_like(forward(ctx))
+        inner = [v for v in ctx.data.values() if isinstance(v, Ctx)]
+        assert len(inner) == (2 if backward is nrconv_backward else 0)
+        assert backward(ctx, grad).shape == t.features.shape
+        for spent in (ctx, *inner):
+            assert spent.data == {}
+        with pytest.raises(RuntimeError, match="before forward or twice"):
+            backward(ctx, grad)
+
+
+def test_a_spent_tape_frees_the_features_it_held(rng):
+    """In a two-layer nrconv chain whose caller keeps only the Ctx objects,
+    layer 2's Ctx is the last holder of the middle features: they are freed
+    as soon as layer 2's backward returns, before layer 1's runs."""
+    t = random_tensor(rng, c=4)
+    h2d = random_h2d(rng, t.n)
+    ctxs = [Ctx(), Ctx()]
+    mid = nrconv(t, h2d, KernelWeights.initialize(4, 4, rng), RELU, ctxs[0])
+    middle = weakref.ref(mid.features)
+    grad = np.ones_like(nrconv(mid, h2d, KernelWeights.initialize(4, 4, rng), RELU,
+                               ctxs[1]).features)
+    del mid
+    assert middle() is not None   # held by layer 2's tape
+    grad = nrconv_backward(ctxs[1], grad)
+    assert middle() is None
+    assert nrconv_backward(ctxs[0], grad).shape == t.features.shape

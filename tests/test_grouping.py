@@ -1,7 +1,8 @@
 """The one grouping sort of padded keys, tensor._group, against a stable
 argsort; sorted_keys and cell_map against the argsort formulas they were
 first written with; and row-permutation and translation equivariance of the
-ops built on them, which need no oracle."""
+ops built on them, and the 2D branch's indifference to a relabelling of its
+cells, which need no oracle."""
 
 import math
 
@@ -20,6 +21,7 @@ from virconv import (
     spconv_downsample,
     submanifold_conv3d,
 )
+from virconv.conv import Ctx, conv2d_branch_backward
 from virconv.geometry import INVALID_2D
 from virconv.tensor import OFFSETS_2D, _group, _padded_keys
 from conftest import random_h2d
@@ -174,3 +176,32 @@ def test_ops_commute_with_a_translation_bit_for_bit(seed, n, shift, half):
     assert_same_bits(b.indices, a.indices + np.array(half))
     for x, y in ((a.features, b.features), (a.origin_flags, b.origin_flags)):
         assert_same_bits(y, x)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 60),
+       shift=st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+@example(seed=5, n=40, shift=(-9, 0))
+@example(seed=6, n=40, shift=(0, -3))
+@example(seed=7, n=40, shift=(25, 31))
+def test_conv2d_branch_ignores_a_cell_relabelling_bit_for_bit(seed, n, shift):
+    """Adding one (du, dv) to every valid h2d row, so that cells may go
+    negative, only renames the cells: the output and every gradient of
+    conv2d_branch keep their bytes."""
+    rng = SeededRng(seed)
+    t = shuffled_tensor(rng, (4, 3, 5), n)
+    h2d = random_h2d(rng, t.n, span=4, invalid_frac=0.2)
+    moved = h2d.copy()
+    moved[h2d[:, 0] != INVALID_2D] += np.array(shift)
+    kw = KernelWeights.initialize(t.width, 4, rng)
+    kw.conv2d.bias[...] = rng.gen.normal(size=kw.conv2d.bias.shape)
+    grad = rng.gen.normal(size=(t.n, kw.c_half))
+    runs = []
+    for cells in (h2d, moved):
+        kw.zero_grads()
+        ctx = Ctx()
+        out = conv2d_branch(t, cells, kw, LEAKY, ctx)
+        runs.append((out, conv2d_branch_backward(ctx, grad), kw.conv2d.g_w.copy(),
+                     kw.conv2d.g_bias.copy()))
+    for a, b in zip(*runs):
+        assert_same_bits(b, a)

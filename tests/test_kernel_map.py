@@ -255,8 +255,8 @@ def test_nrconv_chain_groups_cells_once(rng):
     ctxs = [Ctx(), Ctx()]
     mid = nrconv(t, h2d, KernelWeights.initialize(4, 4, rng), RELU, ctxs[0])
     out = nrconv(mid, h2d.copy(), KernelWeights.initialize(4, 4, rng), RELU, ctxs[1])
+    first, second = (ctx.data["ctx2"].data for ctx in ctxs)   # before the backward empties them
     nrconv_backward(ctxs[0], nrconv_backward(ctxs[1], np.ones((t.n, 4))))
-    first, second = (ctx.data["ctx2"].data for ctx in ctxs)
     for key in ("valid", "first", "passes", "pairs"):
         assert second[key] is first[key]
     assert mid._cell_map is t._cell_map and out._cell_map is t._cell_map
