@@ -144,8 +144,8 @@ def virconvnet_forward(cloud: SparsePointCloud, net: VirConvNetSpec,
                        stage_times=None):
     """Full backbone: voxelize, input discard, four blocks.
 
-    Returns the list of per-level output tensors. An input that voxelizes (or
-    discards) to zero voxels produces empty per-level tensors, not a crash.
+    Returns the cache-free per-level output tensors. An input that voxelizes
+    (or discards) to zero voxels produces empty per-level tensors, not a crash.
     stage_times, when a dict is passed, collects per-stage wall time in ms.
     """
     import time
@@ -167,7 +167,9 @@ def virconvnet_forward(cloud: SparsePointCloud, net: VirConvNetSpec,
         tb = tick()
         tensor = virconv_block(tensor, provider, spec, bw, rng, training)
         block_times.append((tick() - tb) * 1e3)
-        levels.append(tensor)
+        # Cache-free, so the maps built on this level die with the next block.
+        levels.append(SparseVoxelTensor(tensor.indices, tensor.features, tensor.spec,
+                                        tensor.origin_flags, _validate=False))
     if stage_times is not None:
         stage_times["voxelize_ms"] = (t1 - t0) * 1e3
         stage_times["input_stvd_ms"] = (t2 - t1) * 1e3

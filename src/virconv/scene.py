@@ -34,6 +34,10 @@ FOCAL = 400.0
 
 BOUNDARY_BAND_PX = 2  # silhouette pixels within this distance count as boundary
 
+# Fields that size an allocation or a loop: past these, a config error, not an OOM or hang.
+SPEC_MAXIMA = {"num_objects": 100, "lidar_density": 1000.0, "virtual_multiplier": 16.0,
+               "size_max": 20.0}
+
 
 @dataclass(frozen=True)
 class SyntheticSceneSpec:
@@ -55,6 +59,9 @@ class SyntheticSceneSpec:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.lidar_density <= 0 or self.virtual_multiplier <= 0:
             raise ValueError("densities must be positive")
+        for name, top in SPEC_MAXIMA.items():
+            if np.max(getattr(self, name)) > top:
+                raise ValueError(f"{name} must be at most {top}, got {getattr(self, name)}")
         if not (0.0 <= self.boundary_noise_rate <= 1.0):
             raise ValueError("boundary_noise_rate must lie in [0, 1]")
         for name in ("num_objects", "noise_magnitude"):

@@ -20,6 +20,7 @@ from .tensor import ORIGIN_LIDAR, SparseVoxelTensor
 
 MODE_ALL = "all_voxels"
 MODE_VIRTUAL_ONLY = "virtual_only"
+MAX_NUM_BINS = 1000
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class StvdConfig:
     mode: str = MODE_VIRTUAL_ONLY
 
     def __post_init__(self):
-        if self.num_bins < 1:
-            raise ValueError("num_bins must be positive")
+        if not 1 <= self.num_bins <= MAX_NUM_BINS:   # one pass and one count per bin
+            raise ValueError(f"num_bins must lie in [1, {MAX_NUM_BINS}], got {self.num_bins}")
         if self.keep_per_nearby_bin < 1:
             raise ValueError("keep_per_nearby_bin must be >= 1")
         # Written so that NaN fails each comparison.

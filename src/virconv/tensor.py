@@ -135,83 +135,97 @@ def _key_rows(keys, extent) -> np.ndarray:
     return rows
 
 
+BLOCK_ROWS = 1 << 14   # rows per block where point_keys, _group and site_means stream
+
+
 def point_keys(points, spec) -> np.ndarray:
     """Padded key (_padded_keys) of the voxel of each (x, y, z, ...) row of
     the float points, 0 for a point outside spec.extent. The voxel index is
     floor((xyz - origin) / cell size), clipped to [-1, extent] in float so
-    that far points cast without overflow. One axis at a time through reused
-    float and int columns, so no (N, 3) index block is built and each element
-    sees the same float operations as the broadcast formula.
+    that far points cast without overflow. One axis at a time over blocks of
+    BLOCK_ROWS rows through reused columns, so no (N, 3) index block or N-long
+    scratch is built and each element sees the broadcast formula's float ops.
     """
-    n = len(points)
-    keys, outside = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
-    col, idx = np.empty(n), np.empty(n, dtype=np.int64)
-    for a, cs in enumerate(spec.cell_size):
-        e = int(spec.extent[a])
-        np.subtract(points[:, a], spec.origin[a], out=col)
-        col /= cs
-        np.floor(col, out=col)
-        np.clip(col, -1.0, e, out=col)
-        idx[...] = col
-        outside |= idx.view(np.uint64) >= np.uint64(e)   # -1 wraps above e
-        keys *= e + 2
-        keys += idx
-        keys += 1
-    keys[outside] = 0
+    keys = np.zeros(len(points), dtype=np.int64)
+    col, idx = np.empty(BLOCK_ROWS), np.empty(BLOCK_ROWS, dtype=np.int64)
+    for s in range(0, len(points), BLOCK_ROWS):
+        k = keys[s:s + BLOCK_ROWS]
+        c, i, outside = col[:len(k)], idx[:len(k)], np.zeros(len(k), dtype=bool)
+        for a, cs in enumerate(spec.cell_size):
+            e = int(spec.extent[a])
+            np.subtract(points[s:s + BLOCK_ROWS, a], spec.origin[a], out=c)
+            c /= cs
+            np.clip(np.floor(c, out=c), -1.0, e, out=c)
+            i[...] = c
+            outside |= i.view(np.uint64) >= np.uint64(e)   # -1 wraps above e
+            k *= e + 2
+            k += i
+            k += 1
+        k[outside] = 0
     return keys
 
 
 def _group(keys, extent) -> tuple:
-    """(sorted keys, perm, new) of (N,) padded keys on extent, overwriting
-    keys: sorted = keys[perm] with ties in row order, and new marks where each
-    run of equal keys starts. Keys that already ascend stay, perm = arange.
-    Else, with r = N.bit_length(), key << r | row is sorted in place, its
-    high bits the keys and its low r bits perm, when the largest padded key's
-    bit length plus r is at most 63; past that, a stable argsort."""
+    """(runs, perm, starts) of (N,) padded keys on extent, overwriting keys:
+    keys[perm] ascends with ties in row order, starts[j] is where its j-th
+    run of equal keys begins, and runs[j] is that run's key. Keys that
+    already ascend stay, perm = arange. Else, with r = N.bit_length(),
+    key << r | row is sorted in place, its high bits the keys and its low r
+    bits perm, when the largest padded key's bit length plus r is at most
+    63; past that, a stable argsort. Runs are found block by block, and the
+    packed buffer becomes perm: no sorted-key column is live beside it."""
     n = len(keys)
     r = n.bit_length()
     ex, ey, ez = (int(e) + 2 for e in extent)
     if np.all(keys[1:] >= keys[:-1]):
-        perm = np.arange(n)
+        perm, r = np.arange(n), 0
     elif (ex * ey * ez - 1).bit_length() + r <= 63:
         keys <<= r
         keys |= np.arange(n)
         keys.sort()
-        perm = keys & ((1 << r) - 1)
-        keys >>= r
+        perm = None
     else:
-        perm = np.argsort(keys, kind="stable")
+        perm, r = np.argsort(keys, kind="stable"), 0
         keys = keys[perm]
     new = np.empty(n, dtype=bool)
     new[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    return keys, perm, new
+    for s in range(0, n, BLOCK_ROWS):   # a new run where the high bits change
+        w = keys[s:s + BLOCK_ROWS + 1]
+        np.greater(w[1:] ^ w[:-1], (1 << r) - 1, out=new[s + 1:s + len(w)])
+    starts = np.flatnonzero(new)
+    runs = keys[starts] >> r
+    if perm is None:
+        keys &= (1 << r) - 1
+        perm = keys
+    return runs, perm, starts
 
 
 def site_means(keys, values, spec) -> tuple:
     """(sites, means): the distinct nonzero (N,) padded keys on spec.extent as
     (M, 3) index rows in ascending order, and per site the mean of each column
     of the (N, C) values over its rows. Key 0 marks a row to drop; C may be 0;
-    keys is overwritten. _group sorts with ties in row order, and each column
-    sum is one np.bincount, which adds in row order."""
-    n = len(keys)
-    keys, perm, new = _group(keys, spec.extent)
-    starts = np.flatnonzero(new)
-    drop = int(n > 0 and keys[0] == 0)   # key 0 sorts first
-    sites = _key_rows(keys[starts[drop:]], spec.extent)
-    # Each N-long buffer goes once nothing reads it: the sorted keys' buffer
-    # takes the site numbers, cumsum'd in place (from bool it would copy).
-    keys[...] = new
-    del new
-    np.cumsum(keys, out=keys)
-    keys -= 1
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[perm] = keys
-    del keys, perm
-    means = np.empty((len(starts) - drop, values.shape[1]))
-    for j in range(values.shape[1]):
-        means[:, j] = np.bincount(inverse, weights=values[:, j], minlength=len(starts))[drop:]
-    means /= np.diff(starts, append=n)[drop:, None]
+    keys is overwritten. _group sorts with ties in row order; over blocks of
+    the sorted order cut at run starts, its perm becomes in place each row's
+    run, put in the high bits of the row's own slot, whose low bits still hold
+    a sorted row. np.add.at sums over blocks of rows, so each run adds its
+    rows in row order from zero, as one np.bincount over all N would."""
+    n, r = len(keys), len(keys).bit_length()
+    runs, perm, starts = _group(keys, spec.extent)
+    drop = int(len(runs) > 0 and runs[0] == 0)   # key 0 sorts first
+    sites = _key_rows(runs[drop:], spec.extent)
+    bounds = np.append(starts, n)
+    sizes = np.diff(bounds)
+    cuts = np.unique(np.append(np.searchsorted(bounds, np.arange(0, n, BLOCK_ROWS)), len(sizes)))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        rows = perm[bounds[a]:bounds[b]] & ((1 << r) - 1)
+        perm[rows] = perm[rows] & ((1 << r) - 1) | np.repeat(np.arange(a, b), sizes[a:b]) << r
+    perm >>= r
+    sums = np.zeros((values.shape[1], len(sizes)))
+    for s in range(0, n, BLOCK_ROWS):
+        for j, col in enumerate(sums):
+            np.add.at(col, perm[s:s + BLOCK_ROWS], values[s:s + BLOCK_ROWS, j])
+    means = np.ascontiguousarray(sums.T[drop:])
+    means /= sizes[drop:, None]
     return sites, means
 
 
@@ -253,10 +267,11 @@ class SparseVoxelTensor:
         self._kernel_map = None
         self._cell_map = None   # (read-only copy of h2d, cell map)
         if _validate and self.n:
-            skeys, order = self.sorted_keys()
-            dup = order[np.flatnonzero(skeys[1:] == skeys[:-1])]
-            if len(dup):
-                raise ValueError(f"duplicate voxel index {tuple(int(v) for v in indices[dup[0]])}")
+            skeys, order, starts = _group(_padded_keys(indices, spec.extent), spec.extent)
+            self._sorted = skeys, order
+            if len(starts) < self.n:   # the first row of the first repeated key
+                dup = order[starts[np.argmax(np.diff(starts, append=self.n) > 1)]]
+                raise ValueError(f"duplicate voxel index {tuple(int(v) for v in indices[dup])}")
 
     @property
     def n(self) -> int:
@@ -274,7 +289,7 @@ class SparseVoxelTensor:
         return (indices[:, 0] * ey + indices[:, 1]) * ez + indices[:, 2]
 
     def sorted_keys(self):
-        """(sorted padded keys, row order) cached for vectorized gathers."""
+        """(sorted padded keys, row order) of the unique sites, cached."""
         if self._sorted is None:
             self._sorted = _group(_padded_keys(self.indices, self.spec.extent),
                                   self.spec.extent)[:2]
@@ -386,8 +401,7 @@ class SparseVoxelTensor:
             flat[:, :2] -= flat[:, :2].min(axis=0)
         spec = VoxelGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
                              tuple(int(e) for e in flat.max(axis=0, initial=0) + 1))
-        _, order, new = _group(_padded_keys(flat, spec.extent), spec.extent)
-        starts = np.flatnonzero(new)
+        _, order, starts = _group(_padded_keys(flat, spec.extent), spec.extent)
         grid = SparseVoxelTensor(flat[order[starts]], np.zeros((len(starts), 0)), spec,
                                  _validate=False)
         order = rows[order]
@@ -411,8 +425,9 @@ class SparseVoxelTensor:
             raise ValueError(
                 f"feature row count {len(features)} != voxel count {self.n}"
             )
-        if not np.isfinite(features).all():
-            raise ValueError("features must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):   # a finite sum needs no (N, C) mask
+            if not (np.isfinite(features.sum()) or np.isfinite(features).all()):
+                raise ValueError("features must be finite")
         out = SparseVoxelTensor(self.indices, features, self.spec, self.origin_flags,
                                 _validate=False)
         out._sorted, out._kernel_map, out._cell_map = (

@@ -168,7 +168,8 @@ def test_bad_config_is_config_error(scene_dir, capsys):
                                ("--bin-range", -10, "bin_range"),
                                ("--nearby-limit", "nan", "nearby_limit"),
                                ("--nearby-limit", -5, "nearby_limit"),
-                               ("--nearby-limit", 101, "nearby_limit")):
+                               ("--nearby-limit", 101, "nearby_limit"),
+                               ("--bins", 10 ** 9, "num_bins")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run(["stvd-stats", "--scene", scene_dir, flag, value])
@@ -197,7 +198,10 @@ def test_out_of_range_scene_spec_is_config_error(tmp_path, capsys):
     ({"num_objects": -1}, "num_objects"), ({"noise_magnitude": -0.5}, "noise_magnitude"),
     ({"x_range": [50.0, 8.0]}, "x_range"), ({"y_range": [3.0, 3.0]}, "y_range"),
     ({"size_min": [0.0, 1.5, 1.3]}, "size_min"),
-    ({"size_min": [5.0, 1.5, 1.3]}, "size_max")])
+    ({"size_min": [5.0, 1.5, 1.3]}, "size_max"),
+    # Past the bound of a field that sizes an allocation or a loop.
+    ({"virtual_multiplier": 1e9}, "virtual_multiplier"), ({"lidar_density": 1e12}, "lidar_density"),
+    ({"num_objects": 10 ** 9}, "num_objects"), ({"size_max": [1e6, 2.0, 1.8]}, "size_max")])
 def test_scene_spec_range_errors_are_config_errors(tmp_path, capsys, raw, field):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(raw))

@@ -136,9 +136,9 @@ def test_voxelize_find_rows_of_point_indices_roundtrip(rng):
     assert np.array_equal(point_keys(cloud.points, SMALL), _padded_keys(idx, SMALL.extent))
 
 
-# voxelize needs about 26 bytes per point: the point keys, one float and one
-# int column and two masks. An (N, 3) index block (24 more) or one int64
-# buffer kept past its last read (8 more) breaks the budget.
+# voxelize needs about 20 bytes per point here: the point keys and the row
+# numbers packed into them for the one sort (16), plus block-long and
+# site-long scratch. An (N, 3) index block (24 more) breaks the budget.
 VOXELIZE_BYTES_PER_POINT = 32
 
 
@@ -158,6 +158,32 @@ def test_voxelize_peak_memory_stays_within_a_per_point_budget():
         tracemalloc.stop()
     assert t.n == 16_000
     assert peak <= VOXELIZE_BYTES_PER_POINT * n, f"{peak / n:.1f} bytes per point"
+
+
+# Past the point keys themselves (8 bytes per point), voxelize streams: its
+# other scratch is block-long, site-long, or the row numbers packed into the
+# keys for their one sort. An N-long permutation or inverse kept beside the
+# sorted keys (3.25x the keys' bytes before blocks) breaks the bound.
+VOXELIZE_PEAK_PER_KEY_BYTE = 2.5
+
+
+def test_voxelize_peak_stays_within_a_multiple_of_its_keys_bytes():
+    gen = np.random.default_rng(1)
+    n = 400_000   # 16,000 voxels of 25 points each on average, as in a dense cloud
+    pts = np.zeros((n, 5))
+    pts[:, :3] = gen.uniform((0.0, -1.0, -1.0), (2.0, 1.0, 0.0), (n, 3))
+    pts[:, 4] = gen.random(n) < 0.5
+    pts[:, 3] = np.where(pts[:, 4] == 0.0, gen.random(n), 0.0)
+    cloud = SparsePointCloud(pts)
+    voxelize(SparsePointCloud(pts[:100]), default_grid_spec())   # first-call imports
+    tracemalloc.start()
+    try:
+        t = voxelize(cloud, default_grid_spec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.n == 16_000
+    assert peak <= VOXELIZE_PEAK_PER_KEY_BYTE * 8 * n, f"{peak / (8 * n):.2f}x the keys' bytes"
 
 
 def test_grid_points_center_convention():

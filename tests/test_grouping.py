@@ -32,10 +32,11 @@ EXTENTS = [(1, 1, 1), (3, 2, 2), (6, 5, 4), BIG]
 
 
 def stable_group(keys):
-    """(sorted keys, perm, run starts) from a stable argsort."""
+    """(run keys, perm, run starts) from a stable argsort."""
     perm = np.argsort(keys, kind="stable")
     skeys = keys[perm]
-    return skeys, perm, np.r_[True, skeys[1:] != skeys[:-1]][:len(keys)]
+    starts = np.flatnonzero(np.r_[True, skeys[1:] != skeys[:-1]][:len(keys)])
+    return skeys[starts], perm, starts
 
 
 @st.composite

@@ -1,5 +1,8 @@
 """Backbone assembly: fusion, block structure, and the four-level forward."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from virconv import (
     NetWeights,
     SeededRng,
     SparsePointCloud,
+    SparseVoxelTensor,
     StvdConfig,
     VirConvBlockSpec,
     VirConvNetSpec,
@@ -76,6 +80,32 @@ def test_forward_deterministic_and_collects_stage_times():
     assert set(times) == {"voxelize_ms", "input_stvd_ms", "block1_ms",
                           "block2_ms", "block3_ms", "block4_ms"}
     assert all(v >= 0 for v in times.values())
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_no_lookup_map_built_in_the_forward_outlives_it(monkeypatch, training):
+    """The returned levels carry no lookup caches: every sorted-key array,
+    kernel map and cell map built inside virconvnet_forward is freed once it
+    returns, while the levels are still held."""
+    refs = []
+
+    def recording(build):
+        def method(self, *args):
+            out = arr = build(self, *args)
+            while not isinstance(arr, np.ndarray):   # the first array inside the map
+                arr = arr[0]
+            refs.append(weakref.ref(arr))
+            return out
+        return method
+
+    for name in ("sorted_keys", "kernel_map", "cell_map"):
+        monkeypatch.setattr(SparseVoxelTensor, name,
+                            recording(getattr(SparseVoxelTensor, name)))
+    levels = forward(small_scene(), training=training)
+    gc.collect()
+    assert len(levels) == 4 and all(t.n for t in levels)
+    assert len(refs) >= 12   # maps on all four blocks' sites, and more
+    assert [r for r in refs if r() is not None] == []
 
 
 def test_layer_discard_only_during_training():

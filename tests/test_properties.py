@@ -3,12 +3,15 @@ pooling and its gradient routing under many ties, the rank passes (pooling,
 the recorded winner pass, cell sums) against segment reductions, find_rows
 on queries outside the extent, voxelize with points cropped on every face,
 point_keys against the broadcast formula, and site_means and
-downsampled_sites against dict groupings."""
+downsampled_sites against dict groupings, the first three also with blocks
+of a few rows."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +25,7 @@ from virconv.conv import (
     conv2d_branch_backward,
 )
 from virconv.geometry import INVALID_2D, SparsePointCloud, voxelize
+from virconv import tensor
 from virconv.oracle import dense_conv2d_branch
 from virconv.tensor import (
     ORIGIN_LIDAR,
@@ -352,13 +356,30 @@ def test_site_means_matches_dict_grouping(case):
     sites = sorted(members)
     want = np.zeros((len(sites), values.shape[1]))
     for i, site in enumerate(sites):
-        for r in members[site]:   # in row order, from 0.0, as np.bincount adds
+        for r in members[site]:   # in row order, from 0.0, as np.add.at adds
             want[i] += values[r]
         want[i] /= len(members[site])
     keys = _padded_keys(np.array(rows, np.int64).reshape(-1, 3), extent)
     got_sites, got = site_means(np.where(inside, keys, 0), values, spec)
     assert got_sites.tolist() == [list(s) for s in sites]
     assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@settings(deadline=None, max_examples=25)
+@given(points=clouds_for_spec(), cloud=clouds_on_grid(), rows=rows_and_values())
+@example(points=(POINT_SPECS[1], SparsePointCloud.empty()),
+         cloud=((1, 1, 1), np.zeros((0, 5))), rows=example_case(BIG, face_rows(BIG) + [TOP]))
+@example(points=(POINT_SPECS[0], SparsePointCloud.empty()), cloud=((1, 1, 1), np.zeros((0, 5))),
+         rows=example_case((3, 2, 2), SMALL_ROWS[:64] + SMALL_ROWS[:9]))
+def test_grouping_properties_hold_when_runs_straddle_block_steps(block, points, cloud, rows):
+    """The point_keys, voxelize and site_means properties with BLOCK_ROWS
+    tiny, so that point_keys, _group and site_means walk many blocks and runs
+    of equal keys cross the fixed block steps."""
+    with mock.patch.object(tensor, "BLOCK_ROWS", block):
+        test_point_keys_match_the_broadcast_formula_bit_for_bit.hypothesis.inner_test(points)
+        test_voxelize_matches_per_voxel_python_mean.hypothesis.inner_test(cloud)
+        test_site_means_matches_dict_grouping.hypothesis.inner_test(rows)
 
 
 SHARE = {ORIGIN_LIDAR: Fraction(0), ORIGIN_MIXED: Fraction(1, 2), ORIGIN_VIRTUAL: Fraction(1)}

@@ -15,6 +15,7 @@ from virconv.scene import (
     BOUNDARY_BAND_PX,
     IMAGE_H,
     IMAGE_W,
+    SPEC_MAXIMA,
     Box,
     SyntheticSceneSpec,
     _instance_map,
@@ -80,6 +81,28 @@ def test_boundary_band_marks_object_rim_only():
     assert not b[10, 4]               # background pixels are never marked
     assert not b[10, 10]              # interior
     assert not b[0, 0]                # far background
+
+
+# Per bounded field: a value at its bound and values past it. Specs are only
+# constructed; no scene of such a size is generated.
+BOUND_CASES = {"num_objects": (100, [101, 10 ** 9]),
+               "lidar_density": (1000.0, [1000.5, 1e12]),
+               "virtual_multiplier": (16.0, [16.5, 1e9]),
+               "size_max": ((20.0, 20.0, 20.0), [(4.6, 2.0, 20.5), (1e6, 2.0, 1.8)])}
+
+
+def test_bound_cases_cover_every_spec_maximum():
+    assert set(BOUND_CASES) == set(SPEC_MAXIMA)
+    assert all(np.max(at) == SPEC_MAXIMA[name] for name, (at, _) in BOUND_CASES.items())
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_CASES))
+def test_spec_accepts_each_bound_and_rejects_values_past_it(name):
+    at, past = BOUND_CASES[name]
+    assert getattr(SyntheticSceneSpec(**{name: at}), name) == at
+    for value in past:
+        with pytest.raises(ValueError, match=f"{name} must be at most {SPEC_MAXIMA[name]}"):
+            SyntheticSceneSpec(**{name: value})
 
 
 def test_overcrowded_spec_raises():

@@ -17,6 +17,7 @@ from virconv import (
     layer_stvd,
 )
 from virconv.bench import nearby_discardable_counts
+from virconv.stvd import MAX_NUM_BINS
 from virconv.tensor import ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL
 
 # A thin slab along +x: planar distance is dominated by the x index, so we
@@ -60,6 +61,10 @@ def test_bin_of_and_nearby_edges():
 def test_config_validation():
     with pytest.raises(ValueError):
         StvdConfig(num_bins=0)
+    assert StvdConfig(num_bins=MAX_NUM_BINS).num_bins == MAX_NUM_BINS
+    for bins in (MAX_NUM_BINS + 1, 10 ** 12):   # a loop and a count per bin
+        with pytest.raises(ValueError, match=f"num_bins must lie in \\[1, {MAX_NUM_BINS}\\]"):
+            StvdConfig(num_bins=bins)
     with pytest.raises(ValueError):
         StvdConfig(keep_per_nearby_bin=0)
     with pytest.raises(ValueError):

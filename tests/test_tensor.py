@@ -41,6 +41,29 @@ def test_row_count_and_finiteness_rejected():
         SparseVoxelTensor([[0, 0, 0]], np.zeros((1, 1)), SPEC, origin_flags=[0, 1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(0, 0), (2, 1), (4, 2)])   # first, middle, last entry
+def test_with_features_rejects_each_non_finite_value_anywhere(bad, at):
+    t = SparseVoxelTensor(np.arange(15).reshape(5, 3) % 8, np.zeros((5, 3)), SPEC)
+    f = np.arange(15.0).reshape(5, 3) - 7.0
+    f[at] = bad
+    with pytest.raises(ValueError, match="finite"):
+        t.with_features(f)
+    with pytest.raises(ValueError, match=f"non-finite feature values at row {at[0]}"):
+        SparseVoxelTensor(t.indices, f, SPEC)
+
+
+def test_with_features_accepts_huge_values_zero_rows_and_zero_widths():
+    t = SparseVoxelTensor(np.arange(15).reshape(5, 3) % 8, np.zeros((5, 3)), SPEC)
+    assert t.with_features(np.zeros((5, 0))).width == 0
+    huge = np.full((5, 3), np.finfo(np.float64).max)   # finite, though their sum is not
+    assert t.with_features(huge).width == 3
+    assert SparseVoxelTensor(t.indices, -huge, SPEC).n == 5
+    empty = SparseVoxelTensor(np.zeros((0, 3)), np.zeros((0, 2)), SPEC)
+    assert empty.with_features(np.zeros((0, 4))).width == 4
+    assert empty.with_features(np.zeros((0, 0))).n == 0
+
+
 def test_origin_flags_outside_lidar_virtual_mixed_rejected():
     idx = [[0, 0, 0], [1, 0, 0]]
     # Each would pass as another flag after an int8 cast: 258 wraps to 2,
