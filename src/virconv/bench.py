@@ -20,9 +20,6 @@ from .rng import SeededRng
 from .scene import load_scene, load_scene_calib
 from .stvd import StvdConfig, discard_bins, input_stvd
 
-STAGE_KEYS = ("voxelize_ms", "input_stvd_ms", "block1_ms", "block2_ms",
-              "block3_ms", "block4_ms")
-
 
 def config_hash(cfg: dict) -> str:
     """Stable short hash of a JSON-serializable config."""
@@ -37,10 +34,9 @@ class BenchReport:
     keep_per_bin: int
     voxels_before: int
     voxels_after: int
-    stage_ms: dict = field(default_factory=dict)   # medians per stage
+    stage_ms: dict = field(default_factory=dict)   # forward stage medians, in run order
     time_ms_median: float = 0.0
     speedup: float = field(init=False)   # set by run_sweep once every rate ran
-    seed: int = 0
     config_hash: str = ""
 
 
@@ -69,10 +65,6 @@ def nearby_discardable_counts(tensor, cfg: StvdConfig) -> list:
     bins = discard_bins(tensor, cfg)
     hist = np.bincount(bins[bins >= 0], minlength=cfg.num_bins)
     return [int(hist[b]) for b in range(cfg.num_bins) if cfg.is_nearby_bin(b)]
-
-
-def _median(vals):
-    return float(np.median(np.asarray(vals)))
 
 
 def run_sweep(scene_dir, rates, repeats: int, seed: int) -> list:
@@ -118,7 +110,7 @@ def run_sweep(scene_dir, rates, repeats: int, seed: int) -> list:
 
         after = input_stvd(base_tensor, cfg, SeededRng(seed)).n if use_stvd else base_tensor.n
         times = []
-        stage_runs = {k: [] for k in STAGE_KEYS}
+        stage_runs = {}
         for rep in range(repeats + 1):  # first run is warm-up
             stages = {}
             t0 = time.perf_counter()
@@ -131,8 +123,8 @@ def run_sweep(scene_dir, rates, repeats: int, seed: int) -> list:
             if rep == 0:
                 continue
             times.append(elapsed)
-            for k in STAGE_KEYS:
-                stage_runs[k].append(stages.get(k, 0.0))
+            for k, ms in stages.items():
+                stage_runs.setdefault(k, []).append(ms)
         reports.append(
             BenchReport(
                 scenario=str(scene_dir),
@@ -140,9 +132,8 @@ def run_sweep(scene_dir, rates, repeats: int, seed: int) -> list:
                 keep_per_bin=keep,
                 voxels_before=base_tensor.n,
                 voxels_after=after,
-                stage_ms={k: _median(v) for k, v in stage_runs.items()},
-                time_ms_median=_median(times),
-                seed=seed,
+                stage_ms={k: float(np.median(v)) for k, v in stage_runs.items()},
+                time_ms_median=float(np.median(times)),
                 config_hash=chash,
             )
         )

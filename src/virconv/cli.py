@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .bench import STAGE_KEYS, config_hash, run_sweep
+from .bench import config_hash, run_sweep
 from .geometry import (
     AugmentationRecord,
     FormatError,
@@ -125,10 +125,10 @@ def cmd_bench_stvd(args) -> int:
         f"# seed={args.seed}",
         f"# config_hash={reports[0].config_hash}",
         "scenario,rate,keep_per_bin,voxels_before,voxels_after,"
-        + ",".join(STAGE_KEYS) + ",time_ms_median,speedup",
+        + ",".join(reports[0].stage_ms) + ",time_ms_median,speedup",
     ]
     for r in reports:
-        stage = ",".join(f"{r.stage_ms[k]:.3f}" for k in STAGE_KEYS)
+        stage = ",".join(f"{ms:.3f}" for ms in r.stage_ms.values())
         lines.append(
             f"{r.scenario},{r.rate},{r.keep_per_bin},{r.voxels_before},"
             f"{r.voxels_after},{stage},{r.time_ms_median:.3f},{r.speedup:.4f}"

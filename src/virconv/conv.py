@@ -225,10 +225,11 @@ def _pair_conv(X: np.ndarray, pairs, conv: ConvWeights, n_out: int,
     return act.apply(pre)
 
 
-def _pair_conv_backward(saved: dict, gpre: np.ndarray) -> np.ndarray:
-    """Backward of _pair_conv from its pre-activation gradient: accumulates
-    into conv.g_bias and conv.g_w, returns the gradient with respect to X."""
+def _pair_conv_backward(saved: dict, grad_out: np.ndarray) -> np.ndarray:
+    """Backward of _pair_conv from its output gradient, through the saved
+    act: accumulates into conv.g_bias and conv.g_w, returns the X gradient."""
     X, conv = saved["X"], saved["conv"]
+    gpre = grad_out * saved["act"].deriv(saved["positive"])
     conv.g_bias += gpre.sum(axis=0)
     gX = np.zeros_like(X)
     for k, (out_rows, in_rows) in enumerate(saved["pairs"]):
@@ -251,8 +252,7 @@ def submanifold_conv3d(tensor: SparseVoxelTensor, weights: KernelWeights,
 
 
 def submanifold_conv3d_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
-    d = ctx.require("submanifold_conv3d")
-    return _pair_conv_backward(d, grad_out * d["act"].deriv(d["positive"]))
+    return _pair_conv_backward(ctx.require("submanifold_conv3d"), grad_out)
 
 
 def _cell_max(X: np.ndarray, first, passes, ctx: Ctx = None) -> np.ndarray:
@@ -314,16 +314,11 @@ def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     valid, first, passes = d["valid"], d["first"], d["passes"]
 
     # Invalid-projection rows saw act(bias) only.
-    g_invalid = grad_out[~valid]
-    if len(g_invalid):
-        conv.g_bias += (g_invalid * act.deriv(conv.bias[None, :])).sum(axis=0)
-    if len(first) == 0:
-        return np.zeros_like(X)
+    conv.g_bias += (grad_out[~valid] * act.deriv(conv.bias[None, :])).sum(axis=0)
 
     # The cell output gradient is the sum over member voxels.
-    g_pooled = _pair_conv_backward(
-        dict(d, X=_cell_max(X, first, passes)),
-        _cell_sum(grad_out, first, passes) * act.deriv(d["positive"]))
+    g_pooled = _pair_conv_backward(dict(d, X=_cell_max(X, first, passes)),
+                                   _cell_sum(grad_out, first, passes))
 
     # Route pooled gradients, pass by pass, to the member whose pass the
     # rank names per (cell, channel); each row is in one pass, once.
@@ -374,5 +369,4 @@ def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,
 
 
 def spconv_downsample_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
-    d = ctx.require("spconv_downsample")
-    return _pair_conv_backward(d, grad_out * d["act"].deriv(d["positive"]))
+    return _pair_conv_backward(ctx.require("spconv_downsample"), grad_out)

@@ -40,14 +40,13 @@ class SparsePointCloud:
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 5:
             raise ValueError(f"points must be (N, 5), got {pts.shape}")
-        if len(pts):
-            if not np.isfinite(pts[:, :4]).all():
-                raise ValueError("point coordinates and alpha (reflectance) must be finite")
-            beta = pts[:, 4]
-            if not np.isin(beta, (0.0, 1.0)).all():
-                raise ValueError("beta must be 0 (LiDAR) or 1 (virtual)")
-            if (pts[beta == 1.0, 3] != 0.0).any():
-                raise ValueError("virtual points must have zero intensity")
+        if not np.isfinite(pts[:, :4]).all():
+            raise ValueError("point coordinates and alpha (reflectance) must be finite")
+        beta = pts[:, 4]
+        if not np.isin(beta, (0.0, 1.0)).all():
+            raise ValueError("beta must be 0 (LiDAR) or 1 (virtual)")
+        if (pts[beta == 1.0, 3] != 0.0).any():
+            raise ValueError("virtual points must have zero intensity")
         self.points = pts
 
     @property

@@ -7,6 +7,7 @@ the bin-based input discard once, and runs four blocks producing feature
 volumes of widths 16/32/64/64 at strides 1/2/4/8.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,33 +147,24 @@ def virconvnet_forward(cloud: SparsePointCloud, net: VirConvNetSpec,
 
     Returns the cache-free per-level output tensors. An input that voxelizes
     (or discards) to zero voxels produces empty per-level tensors, not a crash.
-    stage_times, when a dict is passed, collects per-stage wall time in ms.
+    stage_times, if a dict, gets each stage's wall time in ms, in run order.
     """
-    import time
-
-    def tick():
-        return time.perf_counter()
-
+    stage_times = {} if stage_times is None else stage_times
     grid = grid or default_grid_spec()
-    t0 = tick()
+    t0 = time.perf_counter()
     tensor = voxelize(cloud, grid)
-    t1 = tick()
-    if apply_input_stvd and tensor.n:
+    stage_times["voxelize_ms"] = (time.perf_counter() - t0) * 1e3
+    t0 = time.perf_counter()
+    if apply_input_stvd:
         tensor = input_stvd(tensor, cfg, rng)
-    t2 = tick()
+    stage_times["input_stvd_ms"] = (time.perf_counter() - t0) * 1e3
     provider = make_h2d_provider(calib, record)
     levels = []
-    block_times = []
-    for spec, bw in zip(net.blocks, weights.blocks):
-        tb = tick()
+    for i, (spec, bw) in enumerate(zip(net.blocks, weights.blocks), 1):
+        t0 = time.perf_counter()
         tensor = virconv_block(tensor, provider, spec, bw, rng, training)
-        block_times.append((tick() - tb) * 1e3)
+        stage_times[f"block{i}_ms"] = (time.perf_counter() - t0) * 1e3
         # Cache-free, so the maps built on this level die with the next block.
         levels.append(SparseVoxelTensor(tensor.indices, tensor.features, tensor.spec,
                                         tensor.origin_flags, _validate=False))
-    if stage_times is not None:
-        stage_times["voxelize_ms"] = (t1 - t0) * 1e3
-        stage_times["input_stvd_ms"] = (t2 - t1) * 1e3
-        for i, bt in enumerate(block_times):
-            stage_times[f"block{i + 1}_ms"] = bt
     return levels

@@ -421,13 +421,7 @@ class SparseVoxelTensor:
     def with_features(self, features) -> "SparseVoxelTensor":
         """Same sites and flags, new feature matrix. Shares index storage and caches."""
         features = np.ascontiguousarray(features, dtype=np.float64)
-        if len(features) != self.n:
-            raise ValueError(
-                f"feature row count {len(features)} != voxel count {self.n}"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):   # a finite sum needs no (N, C) mask
-            if not (np.isfinite(features.sum()) or np.isfinite(features).all()):
-                raise ValueError("features must be finite")
+        _check_features(features, self.n)
         out = SparseVoxelTensor(self.indices, features, self.spec, self.origin_flags,
                                 _validate=False)
         out._sorted, out._kernel_map, out._cell_map = (
@@ -473,17 +467,23 @@ class SparseVoxelTensor:
         return d
 
 
-def _validate_tensor(indices, features, spec, origin_flags):
-    n = len(indices)
+def _check_features(features, n):
+    """Raise ValueError unless features is a finite 2-D (n, C) array."""
     if features.ndim != 2:
         raise ValueError(f"features must be a 2-D (N, C) array, got shape {features.shape}")
     if features.shape[0] != n:
         raise ValueError(
             f"feature row count {features.shape[0]} does not match {n} indices"
         )
-    if n and not np.isfinite(features).all():
-        bad = np.flatnonzero(~np.isfinite(features).all(axis=1))[0]
-        raise ValueError(f"non-finite feature values at row {bad}")
+    with np.errstate(over="ignore", invalid="ignore"):   # a finite sum needs no (N, C) mask
+        if not (np.isfinite(features.sum()) or np.isfinite(features).all()):
+            bad = np.flatnonzero(~np.isfinite(features).all(axis=1))[0]
+            raise ValueError(f"non-finite feature values at row {bad}")
+
+
+def _validate_tensor(indices, features, spec, origin_flags):
+    n = len(indices)
+    _check_features(features, n)
     if origin_flags is not None:
         if origin_flags.shape != (n,):
             raise ValueError(f"origin_flags shape {origin_flags.shape} does not match "
@@ -492,8 +492,6 @@ def _validate_tensor(indices, features, spec, origin_flags):
         if len(bad):
             raise ValueError(f"origin flag {origin_flags[bad[0]]} at row {bad[0]} is not "
                              "0 (LiDAR), 1 (virtual) or 2 (mixed)")
-    if n == 0:
-        return
     outside = ~_inside_extent(indices, spec.extent)
     if outside.any():
         bad = indices[np.flatnonzero(outside)[0]]

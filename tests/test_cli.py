@@ -72,12 +72,14 @@ def test_forward_rejects_a_partial_or_malformed_checkpoint(scene_dir, tmp_path, 
     manifest = json.loads((tmp_path / "w.bin.json").read_text())
     argv = ["forward", "--lidar", scene_dir / "lidar.bin", "--calib", scene_dir / "calib.txt",
             "--weights", weights]
-    for doc, code in ((dict(manifest, params=manifest["params"][:1]), EXIT_CONFIG),
-                      ([manifest], EXIT_PARSE),
-                      ({"params": manifest["params"]}, EXIT_PARSE)):
+    for doc, code, error in (
+            (dict(manifest, params=manifest["params"][:1]), EXIT_CONFIG, "error:"),
+            ([manifest], EXIT_PARSE, "error:"),
+            ({"params": manifest["params"]}, EXIT_PARSE, "error:"),
+            (dict(manifest, version=2), EXIT_CONFIG, "error: unsupported checkpoint version 2")):
         (tmp_path / "w.bin.json").write_text(json.dumps(doc))
         assert run(argv) == code
-        assert "error:" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
 
 def test_forward_names_the_parameter_of_a_non_finite_checkpoint(scene_dir, tmp_path, capsys):
@@ -118,6 +120,15 @@ def test_forward_rejects_a_calibration_with_bad_numbers(scene_dir, tmp_path, cap
         code = run(["forward", "--lidar", scene_dir / "lidar.bin", "--calib", calib])
         assert code == EXIT_PARSE
         assert "key P2 has a non-" in capsys.readouterr().err
+
+
+def test_forward_rejects_a_calibration_key_with_the_wrong_count(scene_dir, tmp_path, capsys):
+    text = (scene_dir / "calib.txt").read_text()
+    p2 = next(line for line in text.splitlines() if line.startswith("P2:"))
+    calib = tmp_path / "calib.txt"
+    calib.write_text(text.replace(p2, p2.rsplit(" ", 1)[0]))   # 11 of 12 values
+    assert run(["forward", "--lidar", scene_dir / "lidar.bin", "--calib", calib]) == EXIT_PARSE
+    assert "key P2 has 11 values, expected 12" in capsys.readouterr().err
 
 
 def test_missing_file_is_parse_error(tmp_path, capsys):
@@ -336,6 +347,12 @@ def test_gradcheck_command_passes_and_detects_corruption(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_gradcheck_command_passes_on_the_downsample(capsys):
+    assert run(["gradcheck", "--op", "spconv", "--seed", 3, "--size", 6]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("op=spconv size=6 ") and "checked=100 skipped=0 PASS" in out
+
+
 @pytest.mark.parametrize("checked, skipped", [(0, 100), (89, 11)])
 def test_gradcheck_command_fails_when_too_few_probes_compared(monkeypatch, capsys,
                                                               checked, skipped):
@@ -355,10 +372,13 @@ def test_bench_stvd_csv(scene_dir, tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "# schema_version=1"
     header = lines[3].split(",")
-    assert header[:5] == ["scenario", "rate", "keep_per_bin", "voxels_before",
-                          "voxels_after"]
+    # The stage columns are the forward's own stage names, in run order; the
+    # rate-0 row, which skips the discard, still times it.
+    assert header == ["scenario", "rate", "keep_per_bin", "voxels_before", "voxels_after",
+                      "voxelize_ms", "input_stvd_ms", "block1_ms", "block2_ms",
+                      "block3_ms", "block4_ms", "time_ms_median", "speedup"]
     rows = [ln.split(",") for ln in lines[4:]]
-    assert len(rows) == 2
+    assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
     baseline = rows[0]
     assert float(baseline[1]) == 0.0 and float(baseline[-1]) == 1.0
 

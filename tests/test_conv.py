@@ -195,6 +195,23 @@ def test_invalid_projection_rows_get_empty_cell_output(rng):
     assert np.allclose(out, LEAKY.apply(kw.conv2d.bias)[None, :])
 
 
+@pytest.mark.parametrize("act", [RELU, LEAKY, IDENTITY], ids=lambda a: a.kind)
+def test_all_invalid_projection_backward_reaches_only_the_bias(act):
+    # Zero cells: every row saw act(bias), so only the bias has a gradient.
+    rng = SeededRng(7)
+    t = random_tensor(rng, c=3)
+    kw = KernelWeights.initialize(3, 4, rng)
+    conv = kw.conv2d
+    conv.bias[:] = (-0.5, 0.75)   # one bias on each side of the kink
+    ctx = Ctx()
+    conv2d_branch(t, np.full((t.n, 2), INVALID_2D, dtype=np.int64), kw, act, ctx)
+    grad = rng.gen.normal(size=(t.n, conv.c_out))
+    gX = conv2d_branch_backward(ctx, grad)
+    assert gX.shape == t.features.shape and not gX.any()
+    assert not conv.g_w.any()
+    assert np.array_equal(conv.g_bias, (grad * act.deriv(conv.bias[None])).sum(0))
+
+
 def test_pooling_ties_break_to_lowest_row():
     spec = VoxelGridSpec(origin=(0, 0, 0), voxel_size=(1, 1, 1), extent=(4, 4, 4))
     t = SparseVoxelTensor([[0, 0, 0], [1, 0, 0]], np.ones((2, 1)), spec)
@@ -292,7 +309,7 @@ def test_shared_centre_tap_matches_the_indexed_path_bit_for_bit(act):
             conv.zero_grads()
             ctx = Ctx()
             out = _pair_conv(X, run_pairs, conv, n, act, ctx)
-            gX = _pair_conv_backward(ctx.data, grad * act.deriv(ctx.data["positive"]))
+            gX = _pair_conv_backward(ctx.data, grad)
             runs.append((out, conv.g_w.copy(), conv.g_bias.copy(), gX))
         for fast, indexed in zip(*runs):
             assert np.array_equal(fast, indexed)

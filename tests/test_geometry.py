@@ -344,6 +344,17 @@ def test_calib_roundtrip_and_missing_key(tmp_path):
         parse_kitti_calib(path)
 
 
+def test_calib_skips_blank_lines_and_lines_without_a_colon(tmp_path):
+    calib = synthetic_calibration()
+    path = tmp_path / "calib.txt"
+    write_kitti_calib(path, calib)
+    # A trailing "P2" without a colon would read as a P2 with no values.
+    path.write_text("\n   \n" + path.read_text().replace("\n", "\n\n") + "P2\n")
+    back = parse_kitti_calib(path)
+    for name in ("cam_projection", "rect", "lidar_to_cam"):
+        assert np.array_equal(getattr(back, name), getattr(calib, name))
+
+
 @pytest.mark.parametrize("key, bad, match", [
     ("P2", "abc", "key P2 has a non-numeric value"),
     ("P2", "nan", "key P2 has a non-finite value"),

@@ -77,8 +77,8 @@ def test_forward_deterministic_and_collects_stage_times():
     for ta, tb in zip(a, b):
         assert np.array_equal(ta.indices, tb.indices)
         assert np.array_equal(ta.features, tb.features)
-    assert set(times) == {"voxelize_ms", "input_stvd_ms", "block1_ms",
-                          "block2_ms", "block3_ms", "block4_ms"}
+    assert list(times) == ["voxelize_ms", "input_stvd_ms", "block1_ms",
+                           "block2_ms", "block3_ms", "block4_ms"]
     assert all(v >= 0 for v in times.values())
 
 

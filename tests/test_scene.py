@@ -168,6 +168,20 @@ def test_benchmark_scenes_are_pinned(name):
     assert got == digests
 
 
+def test_fractional_virtual_multiplier_adds_a_drawn_sample_per_pixel():
+    # Only a fractional multiplier draws whether a pixel gets one more sample.
+    s = generate_scene(SyntheticSceneSpec(virtual_multiplier=1.5), SeededRng(0))
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                for a in (s.lidar.points, s.virtual.points, s.noise_labels))
+    assert got == (
+        "7b7abeec5e847a651606a5c08ff6cc3f3328868e595d547c3c1e72317c740fc9",
+        "97fbaf707ebcfe853b15faaef0daa86c4cf24c6d046400354d2550f9bc199728",
+        "7d3681fcb0335c14e52970eeef60c0511cbbe0b7f71025992669f4d04db28426")
+    lo, hi = (generate_scene(SyntheticSceneSpec(virtual_multiplier=m), SeededRng(0)).virtual.n
+              for m in (1.0, 2.0))
+    assert lo < s.virtual.n < hi   # 33,916 < 50,766 < 67,836
+
+
 def slab_enter_reference(dirs, box):
     """The (N, 3) broadcast slab formula that _ray_box_enter must equal."""
     lo, hi = box.lo, box.hi

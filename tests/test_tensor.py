@@ -64,6 +64,14 @@ def test_with_features_accepts_huge_values_zero_rows_and_zero_widths():
     assert empty.with_features(np.zeros((0, 0))).n == 0
 
 
+@pytest.mark.parametrize("shape", [(5,), (5, 3, 1)], ids=["1-D", "3-D"])
+def test_with_features_rejects_what_the_constructor_rejects(shape):
+    t = SparseVoxelTensor(np.arange(15).reshape(5, 3) % 8, np.zeros((5, 3)), SPEC)
+    for make in (t.with_features, lambda f: SparseVoxelTensor(t.indices, f, SPEC)):
+        with pytest.raises(ValueError, match=r"features must be a 2-D \(N, C\) array"):
+            make(np.zeros(shape))
+
+
 def test_origin_flags_outside_lidar_virtual_mixed_rejected():
     idx = [[0, 0, 0], [1, 0, 0]]
     # Each would pass as another flag after an int8 cast: 258 wraps to 2,
