@@ -5,7 +5,8 @@
   * conv2d_branch: voxels are max-pooled per projected 2D pixel cell, a 3x3
     kernel runs over occupied cells, and each cell's output is scattered
     back to its member voxels.
-  * nrconv: concatenation [3D branch, 2D branch], each half the output width.
+  * nrconv: concatenation [3D branch, 2D branch], each half the output width;
+    the 2D half runs first, so its cells are freed before the 3D half allocates.
   * spconv_downsample: kernel-3 / stride-2 / padding-1 convolution whose
     output sites are the halved input sites.
 
@@ -31,8 +32,8 @@ Backward passes are exact: pass a Ctx to a forward call, then call the
 matching *_backward with the upstream gradient. Weight gradients accumulate
 into the weights' grad buffers; the input-feature gradient is returned. All
 math is float64. A Ctx keeps the forward's features and maps by reference,
-plus the bool mask pre > 0 (all that ActivationSpec.deriv reads) and, in the
-2D branch, an unsigned (M, C_in) rank: the pass whose member won each pooled
+plus pre > 0 as packed bits (all ActivationSpec.deriv reads) and, in the 2D
+branch, an unsigned (M, C_in) rank: the pass whose member won each pooled
 max. No Ctx keeps the pooled features; the 2D backward pools them again.
 A Ctx serves one backward, which empties it, so the tape shrinks as the
 backward runs; a second backward on it raises RuntimeError.
@@ -209,7 +210,7 @@ def _pair_conv(X: np.ndarray, pairs, conv: ConvWeights, n_out: int,
     bias plus, per offset k, X[in rows] @ w[k] added into the output rows.
     A pair whose out rows are its in rows (one shared arange, the centre of
     a submanifold map) adds X @ w[k] without gather or scatter. Given a ctx,
-    saves X, pairs, conv, act and the mask pre > 0 for _pair_conv_backward."""
+    saves X, pairs, conv, act and pre > 0 as packed bits for the backward."""
     pre = np.broadcast_to(conv.bias, (n_out, conv.c_out)).copy()
     # Scatters move whole rows as void items; width 0 has nothing to add.
     rows = _row_items(pre)
@@ -221,7 +222,7 @@ def _pair_conv(X: np.ndarray, pairs, conv: ConvWeights, n_out: int,
             part += pre.take(out_rows, axis=0)   # pre + part: the same bits
             rows[out_rows] = _row_items(part)
     if ctx is not None:
-        ctx.save(X=X, pairs=pairs, conv=conv, act=act, positive=pre > 0)
+        ctx.save(X=X, pairs=pairs, conv=conv, act=act, positive=np.packbits(pre > 0, axis=None))
     return act.apply(pre)
 
 
@@ -229,7 +230,8 @@ def _pair_conv_backward(saved: dict, grad_out: np.ndarray) -> np.ndarray:
     """Backward of _pair_conv from its output gradient, through the saved
     act: accumulates into conv.g_bias and conv.g_w, returns the X gradient."""
     X, conv = saved["X"], saved["conv"]
-    gpre = grad_out * saved["act"].deriv(saved["positive"])
+    positive = np.unpackbits(saved["positive"], count=grad_out.size).reshape(grad_out.shape)
+    gpre = grad_out * saved["act"].deriv(positive)
     conv.g_bias += gpre.sum(axis=0)
     gX = np.zeros_like(X)
     for k, (out_rows, in_rows) in enumerate(saved["pairs"]):
@@ -333,11 +335,13 @@ def nrconv(tensor: SparseVoxelTensor, h2d: np.ndarray, weights: KernelWeights,
            act: ActivationSpec = RELU, ctx: Ctx = None) -> SparseVoxelTensor:
     """Noise-resistant conv: concatenate [3D branch, 2D branch] features.
 
-    Output sites equal input sites; origin flags carry through.
+    The 2D branch runs first, as in nrconv_backward, so its pooled cells are
+    freed before the 3D one allocates. A ctx keeps one Ctx per branch, each
+    with its packed signs. Output sites equal input sites; flags carry through.
     """
     ctx3, ctx2 = (Ctx(), Ctx()) if ctx is not None else (None, None)
-    out3 = submanifold_conv3d(tensor, weights, act, ctx3).features
     out2 = conv2d_branch(tensor, h2d, weights, act, ctx2)
+    out3 = submanifold_conv3d(tensor, weights, act, ctx3).features
     if ctx is not None:
         ctx.save(ctx3=ctx3, ctx2=ctx2, c_half=weights.c_half)
     return tensor.with_features(np.concatenate([out3, out2], axis=1))

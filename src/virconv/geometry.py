@@ -275,18 +275,19 @@ def read_fused_bin(path) -> SparsePointCloud:
 def parse_kitti_calib(path) -> Calibration:
     """Parse a KITTI calib text file (keys P2, R0_rect, Tr_velo_to_cam).
 
-    Raises FormatError when a required key is missing or does not hold its
-    count of finite numbers; other keys are not read.
+    Raises FormatError when a required key is missing, repeated or does not
+    hold its count of finite numbers; other keys are not read.
     """
-    values = {}
+    values, required = {}, {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
     with open(path) as f:
         for line in f:
             line = line.strip()
             if not line or ":" not in line:
                 continue
-            key, _, rest = line.partition(":")
-            values[key.strip()] = rest.split()
-    required = {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
+            key, _, rest = (part.strip() for part in line.partition(":"))
+            if key in values and key in required:
+                raise FormatError(f"{path}: calibration key {key} is repeated")
+            values[key] = rest.split()
     for key, count in required.items():
         if key not in values:
             raise FormatError(f"{path}: missing calibration key {key}")

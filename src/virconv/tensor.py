@@ -168,16 +168,18 @@ def point_keys(points, spec) -> np.ndarray:
 def _group(keys, extent) -> tuple:
     """(runs, perm, starts) of (N,) padded keys on extent, overwriting keys:
     keys[perm] ascends with ties in row order, starts[j] is where its j-th
-    run of equal keys begins, and runs[j] is that run's key. Keys that
-    already ascend stay, perm = arange. Else, with r = N.bit_length(),
-    key << r | row is sorted in place, its high bits the keys and its low r
-    bits perm, when the largest padded key's bit length plus r is at most
+    run of equal keys begins, and runs[j] is that run's key. Strictly rising
+    keys are the runs; other rising keys stay, perm = arange. Else, with r =
+    N.bit_length(), key << r | row is sorted in place (high bits the keys, low
+    r bits perm) when the largest padded key's bit length plus r is at most
     63; past that, a stable argsort. Runs are found block by block, and the
     packed buffer becomes perm: no sorted-key column is live beside it."""
     n = len(keys)
     r = n.bit_length()
     ex, ey, ez = (int(e) + 2 for e in extent)
     if np.all(keys[1:] >= keys[:-1]):
+        if np.all(keys[1:] > keys[:-1]):   # unique sites: each key is its own run
+            return keys, np.arange(n), np.arange(n)
         perm, r = np.arange(n), 0
     elif (ex * ey * ez - 1).bit_length() + r <= 63:
         keys <<= r

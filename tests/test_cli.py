@@ -131,6 +131,13 @@ def test_forward_rejects_a_calibration_key_with_the_wrong_count(scene_dir, tmp_p
     assert "key P2 has 11 values, expected 12" in capsys.readouterr().err
 
 
+def test_forward_rejects_a_repeated_calibration_key(scene_dir, tmp_path, capsys):
+    calib = tmp_path / "calib.txt"
+    calib.write_text((scene_dir / "calib.txt").read_text() + "P2: " + " ".join(["1.0"] * 12) + "\n")
+    assert run(["forward", "--lidar", scene_dir / "lidar.bin", "--calib", calib]) == EXIT_PARSE
+    assert "calibration key P2 is repeated" in capsys.readouterr().err
+
+
 def test_missing_file_is_parse_error(tmp_path, capsys):
     code = run(["forward", "--lidar", tmp_path / "nope.bin",
                 "--calib", tmp_path / "nope.txt"])

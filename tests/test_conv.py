@@ -316,24 +316,33 @@ def test_shared_centre_tap_matches_the_indexed_path_bit_for_bit(act):
 
 
 def test_ctx_saves_only_the_sign_of_the_pre_activation(rng):
-    t = random_tensor(rng, c=3)
-    kw, sw = KernelWeights.initialize(3, 4, rng), SpconvWeights.initialize(3, 4, rng)
-    ctx3, ctx2, ctxd = Ctx(), Ctx(), Ctx()
-    out3 = submanifold_conv3d(t, kw, IDENTITY, ctx3)
-    conv2d_branch(t, random_h2d(rng, t.n), kw, IDENTITY, ctx2)
-    outd = spconv_downsample(t, sw, IDENTITY, ctxd)
-    for ctx, pre in ((ctx3, out3.features), (ctx2, None), (ctxd, outd.features)):
-        positive = ctx.data["positive"]
-        assert positive.dtype == np.bool_ and "pre" not in ctx.data
-        if pre is not None:   # identity: the output is pre itself
-            assert np.array_equal(positive, pre > 0)
-    pooled_shape = (len(ctx2.data["first"]), kw.c_in)
-    assert ctx2.data["positive"].shape == (len(ctx2.data["first"]), kw.c_half)
-    # The 2D tape keeps the winners' pass ranks, not a pooled float copy.
-    rank = ctx2.data["rank"]
-    assert rank.dtype.kind == "u" and rank.shape == pooled_shape
-    assert not [key for key, v in ctx2.data.items() if isinstance(v, np.ndarray)
-                and v.dtype.kind == "f" and v.shape == pooled_shape]
+    """The tape keeps pre > 0 as packed bits: ceil(n * c / 8) uint8 bytes whose
+    first n * c bits, row by row, are the sign; no (n, c) bool or float copy
+    of pre. Cases: n * c a multiple of 8 (8 rows), not one (5 rows) and 0 rows."""
+    for rows, c_half in ((None, 2), (8, 2), (5, 3), (0, 3)):
+        t = random_tensor(rng, c=4)
+        if rows is not None:
+            t = t.take_rows(np.arange(rows))
+        kw = KernelWeights.initialize(4, 2 * c_half, rng)
+        sw = SpconvWeights.initialize(4, 5, rng)
+        ctx3, ctx2, ctxd = Ctx(), Ctx(), Ctx()
+        out3 = submanifold_conv3d(t, kw, IDENTITY, ctx3).features
+        out2 = conv2d_branch(t, random_h2d(rng, t.n), kw, IDENTITY, ctx2)
+        outd = spconv_downsample(t, sw, IDENTITY, ctxd).features
+        # identity: the output is pre itself, in the 2D branch at each cell's first row
+        for ctx, pre in ((ctx3, out3), (ctx2, out2[ctx2.data["first"]]), (ctxd, outd)):
+            positive = ctx.data["positive"]
+            assert positive.dtype == np.uint8 and positive.shape == (-(-pre.size // 8),)
+            assert np.array_equal(np.unpackbits(positive)[:pre.size], (pre > 0).ravel())
+            assert "pre" not in ctx.data
+            assert not [key for key, v in ctx.data.items() if isinstance(v, np.ndarray)
+                        and v.dtype.kind in "bf" and v.shape == pre.shape]
+        # The 2D tape keeps the winners' pass ranks, not a pooled float copy.
+        pooled_shape = (len(ctx2.data["first"]), kw.c_in)
+        rank = ctx2.data["rank"]
+        assert rank.dtype.kind == "u" and rank.shape == pooled_shape
+        assert not [key for key, v in ctx2.data.items() if isinstance(v, np.ndarray)
+                    and v.dtype.kind == "f" and v.shape == pooled_shape]
 
 
 def test_nrconv_with_and_without_a_ctx_returns_the_same_bytes():

@@ -355,6 +355,20 @@ def test_calib_skips_blank_lines_and_lines_without_a_colon(tmp_path):
         assert np.array_equal(getattr(back, name), getattr(calib, name))
 
 
+def test_calib_rejects_a_repeated_required_key_but_not_an_unread_one(tmp_path):
+    """A second, different P2 line would otherwise project with whichever
+    line the parser kept; keys it does not read may repeat."""
+    calib = synthetic_calibration()
+    path = tmp_path / "calib.txt"
+    write_kitti_calib(path, calib)
+    text = path.read_text() + "calib_time: 1\ncalib_time: 2\n"
+    path.write_text(text)
+    assert np.array_equal(parse_kitti_calib(path).cam_projection, calib.cam_projection)
+    path.write_text(text + "P2: " + " ".join(["1.0"] * 12) + "\n")
+    with pytest.raises(FormatError, match="calibration key P2 is repeated"):
+        parse_kitti_calib(path)
+
+
 @pytest.mark.parametrize("key, bad, match", [
     ("P2", "abc", "key P2 has a non-numeric value"),
     ("P2", "nan", "key P2 has a non-finite value"),

@@ -63,6 +63,8 @@ def key_sets(draw):
 @example(case=((3, 2, 2), np.array([4, 1, 4] * 15, np.int64)))
 @example(case=((3, 2, 2), np.array([0, 0, 3, 5, 5, 5, 47], np.int64)))
 @example(case=(BIG, np.array([2, 9, 9, 9, math.prod(e + 2 for e in BIG) - 1], np.int64)))
+@example(case=((6, 5, 4), np.array([0, 3, 17, 40, 41, 335], np.int64)))   # strictly ascending
+@example(case=((6, 5, 4), np.array([3, 17, 17, 40, 41, 41], np.int64)))   # ascending, repeats
 def test_group_is_a_stable_argsort_with_run_starts(case):
     extent, keys = case
     got = _group(keys.copy(), extent)

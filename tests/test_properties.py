@@ -1,5 +1,6 @@
 """Property tests of the fixed-cost paths against brute force: per-cell
-pooling and its gradient routing under many ties, the rank passes (pooling,
+pooling and its gradient routing under many ties, each NRConv half reduced
+to a pointwise layer by its centre tap, the rank passes (pooling,
 the recorded winner pass, cell sums) against segment reductions, find_rows
 on queries outside the extent, voxelize with points cropped on every face,
 point_keys against the broadcast formula, and site_means and
@@ -15,7 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from virconv import ActivationSpec, KernelWeights, SeededRng, SparseVoxelTensor, VoxelGridSpec
+from virconv import (
+    ActivationSpec,
+    KernelWeights,
+    SeededRng,
+    SparseVoxelTensor,
+    VoxelGridSpec,
+    nrconv,
+    submanifold_conv3d,
+)
 from virconv.classifier import roc_auc
 from virconv.conv import (
     Ctx,
@@ -28,6 +37,7 @@ from virconv.geometry import INVALID_2D, SparsePointCloud, voxelize
 from virconv import tensor
 from virconv.oracle import dense_conv2d_branch
 from virconv.tensor import (
+    CENTER_3D,
     ORIGIN_LIDAR,
     ORIGIN_MIXED,
     ORIGIN_VIRTUAL,
@@ -106,6 +116,55 @@ def test_pool_winners_and_pooled_gradients_take_first_max_in_row_order(case, see
     got = conv2d_branch_backward(ctx, grad_out)
     want = brute_conv2d_input_grad(X, h2d, w, LEAKY, grad_out)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@st.composite
+def centre_tap_layers(draw):
+    """(tensor, h2d, weights, act): up to 24 distinct sites on a 4x4x3 grid
+    and a pixel cell of its own per site from a 6x6 patch (negative cells
+    included), so most sites and cells have occupied neighbours; weights
+    whose only non-zero taps are the 3D and 2D centres, and a random bias."""
+    sites = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+                          min_size=1, max_size=24, unique=True))
+    h2d = draw(st.lists(st.tuples(st.integers(-3, 2), st.integers(-3, 2)),
+                        min_size=len(sites), max_size=len(sites), unique=True))
+    rng = SeededRng(draw(st.integers(0, 2 ** 32 - 1)))
+    spec = VoxelGridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4, 4, 3))
+    t = SparseVoxelTensor(sites, rng.gen.normal(size=(len(sites), 3)), spec)
+    w = KernelWeights.initialize(3, 4, rng)
+    for conv, centre in ((w.conv3d, CENTER_3D), (w.conv2d, len(OFFS_2D) // 2)):
+        conv.w[np.arange(len(conv.w)) != centre] = 0.0
+        conv.bias[:] = rng.gen.normal(size=conv.c_out)
+    act = draw(st.sampled_from([ActivationSpec("relu"), LEAKY, ActivationSpec("identity")]))
+    return t, np.array(h2d, np.int64), w, act
+
+
+def assert_pointwise(got, X, conv, centre, act):
+    """got is act(X @ w[centre] + bias) within the 1e-5 oracle bound."""
+    want = act.apply(X @ conv.w[centre] + conv.bias)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() / max(1.0, np.abs(want).max()) < 1e-5
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=centre_tap_layers())
+def test_the_centre_2d_tap_alone_makes_the_2d_branch_pointwise(case):
+    """With one voxel per cell, pooling is the identity; with only the centre
+    tap (OFFSETS_2D row 4) non-zero, no neighbouring cell adds anything."""
+    t, h2d, w, act = case
+    assert OFFS_2D[4] == (0, 0)
+    for got in (conv2d_branch(t, h2d, w, act), nrconv(t, h2d, w, act).features[:, w.c_half:]):
+        assert_pointwise(got, t.features, w.conv2d, 4, act)
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=centre_tap_layers())
+def test_the_centre_3d_tap_alone_makes_the_3d_branch_pointwise(case):
+    """With only conv3d.w[13] non-zero, no neighbouring site adds anything;
+    nrconv's first half is that same 3D branch."""
+    t, h2d, w, act = case
+    for got in (submanifold_conv3d(t, w, act).features, nrconv(t, h2d, w, act).features[:, :w.c_half]):
+        assert_pointwise(got, t.features, w.conv3d, CENTER_3D, act)
 
 
 def segment_reference(X, G, h2d):
