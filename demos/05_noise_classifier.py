@@ -10,7 +10,7 @@ but isolated one, whereas the image-plane neighborhood can.
 This trains the same tiny classifier twice - once with the two-branch
 operator, once with its 3D-only sibling - and compares held-out AUC.
 
-Run:  python3 demos/05_noise_classifier.py   (takes a couple of minutes)
+Run:  python3 demos/05_noise_classifier.py   (takes a few seconds)
 """
 
 from virconv import (

@@ -20,10 +20,10 @@ from .conv import (
     submanifold_conv3d,
     submanifold_conv3d_backward,
 )
-from .geometry import AugmentationRecord, project_voxels
+from .geometry import AugmentationRecord, project_voxels, voxelize
 from .rng import SeededRng
 from .scene import Scene, SyntheticSceneSpec, synthetic_calibration
-from .tensor import SparseVoxelTensor, VoxelGridSpec, origin_flags_of, point_keys, site_means
+from .tensor import VoxelGridSpec, point_keys, site_means
 
 HEAD_NRCONV = "nrconv_head"
 HEAD_CONV3D = "conv3d_head"
@@ -77,12 +77,11 @@ class VoxelDataset:
 def scene_to_dataset(scene: Scene) -> VoxelDataset:
     """Virtual voxels on CLASSIFIER_GRID with CLASSIFIER_PIXEL_CELL cells."""
     # Only the virtual cloud carries displaced points (real returns would let
-    # either head lean on the provenance flag). The labels ride as a 6th column.
-    values = np.column_stack((scene.virtual.points, scene.noise_labels))
-    sites, means = site_means(point_keys(values, CLASSIFIER_GRID), values, CLASSIFIER_GRID)
-    tensor = SparseVoxelTensor(sites, means[:, :CLASSIFIER_C_IN], CLASSIFIER_GRID,
-                               origin_flags_of(means[:, 4]), _validate=False)
-    labels = means[:, CLASSIFIER_C_IN] > 0.5
+    # either head lean on the provenance flag).
+    tensor = voxelize(scene.virtual, CLASSIFIER_GRID)
+    _, noise = site_means(point_keys(scene.virtual.points, CLASSIFIER_GRID),
+                          scene.noise_labels[:, None], CLASSIFIER_GRID)
+    labels = noise[:, 0] > 0.5
     h2d = project_voxels(tensor, AugmentationRecord.identity(),
                          synthetic_calibration(), pixel_cell=CLASSIFIER_PIXEL_CELL)
     return VoxelDataset(tensor=tensor, h2d=h2d, labels=labels)

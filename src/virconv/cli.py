@@ -27,7 +27,7 @@ from .geometry import (
     write_fused_bin,
 )
 from .net import NetWeights, VirConvNetSpec, fuse_early, virconvnet_forward
-from .oracle import MIN_CHECKED_SHARE, gradcheck
+from .oracle import GRAD_TOL, MIN_CHECKED_SHARE, gradcheck
 from .rng import SeededRng
 from .scene import SyntheticSceneSpec, generate_scene, load_scene, parse_scene_spec, save_scene
 from .stvd import MODE_ALL, MODE_VIRTUAL_ONLY, StvdConfig, bin_histogram, input_stvd
@@ -71,6 +71,12 @@ def _write_text(path, text):
     else:
         with open(path, "w") as f:
             f.write(text)
+
+
+def _write_csv(path, seed, chash, lines):
+    """_write_text of the CSV lines under the schema version, seed and config hash."""
+    _write_text(path, "\n".join([f"# schema_version={CSV_SCHEMA_VERSION}", f"# seed={seed}",
+                                 f"# config_hash={chash}", *lines]) + "\n")
 
 
 def cmd_forward(args) -> int:
@@ -120,20 +126,15 @@ def cmd_bench_stvd(args) -> int:
         raise FormatError(f"--sweep-rates must be comma-separated numbers, "
                           f"got {args.sweep_rates!r}") from None
     reports = run_sweep(args.scene, rates, args.repeats, args.seed)
-    lines = [
-        f"# schema_version={CSV_SCHEMA_VERSION}",
-        f"# seed={args.seed}",
-        f"# config_hash={reports[0].config_hash}",
-        "scenario,rate,keep_per_bin,voxels_before,voxels_after,"
-        + ",".join(reports[0].stage_ms) + ",time_ms_median,speedup",
-    ]
+    lines = ["scenario,rate,keep_per_bin,voxels_before,voxels_after,"
+             + ",".join(reports[0].stage_ms) + ",time_ms_median,speedup"]
     for r in reports:
         stage = ",".join(f"{ms:.3f}" for ms in r.stage_ms.values())
         lines.append(
             f"{r.scenario},{r.rate},{r.keep_per_bin},{r.voxels_before},"
             f"{r.voxels_after},{stage},{r.time_ms_median:.3f},{r.speedup:.4f}"
         )
-    _write_text(args.csv, "\n".join(lines) + "\n")
+    _write_csv(args.csv, args.seed, reports[0].config_hash, lines)
     return EXIT_OK
 
 
@@ -160,9 +161,10 @@ def cmd_gradcheck(args) -> int:
         weights = KernelWeights.initialize(c_in, c_out, rng)
     err, checked, skipped = gradcheck(args.op, tensor, h2d, weights, act, rng,
                                       num_probes=100)
-    ok = err < 1e-4 and checked > 0 and checked >= MIN_CHECKED_SHARE * (checked + skipped)
+    ok = err < GRAD_TOL and checked > 0 and checked >= MIN_CHECKED_SHARE * (checked + skipped)
+    tol = np.format_float_scientific(GRAD_TOL, trim="-", exp_digits=1)   # 1e-4, not 0.0001
     print(f"op={args.op} size={size} max_rel_err={err:.3e} checked={checked} "
-          f"skipped={skipped} {'PASS' if ok else 'FAIL'} (tolerance 1e-4, "
+          f"skipped={skipped} {'PASS' if ok else 'FAIL'} (tolerance {tol}, "
           f"at least {MIN_CHECKED_SHARE:.0%} of probes compared)")
     return EXIT_OK if ok else 1
 
@@ -206,17 +208,12 @@ def cmd_stvd_stats(args) -> int:
             "mode": args.mode, "seed": args.seed,
         }
     )
-    lines = [
-        f"# schema_version={CSV_SCHEMA_VERSION}",
-        f"# seed={args.seed}",
-        f"# config_hash={chash}",
-        "bin_index,bin_lo_m,bin_hi_m,count_before,count_after",
-    ]
+    lines = ["bin_index,bin_lo_m,bin_hi_m,count_before,count_after"]
     for b in range(cfg.num_bins + 1):
         lo = b * cfg.bin_width
         hi = (b + 1) * cfg.bin_width if b < cfg.num_bins else float("inf")
         lines.append(f"{b},{lo},{hi},{before_hist[b]},{after_hist[b]}")
-    _write_text(args.csv, "\n".join(lines) + "\n")
+    _write_csv(args.csv, args.seed, chash, lines)
     return EXIT_OK
 
 

@@ -212,9 +212,8 @@ def _pair_conv(X: np.ndarray, pairs, conv: ConvWeights, n_out: int,
     a submanifold map) adds X @ w[k] without gather or scatter. Given a ctx,
     saves X, pairs, conv, act and pre > 0 as packed bits for the backward."""
     pre = np.broadcast_to(conv.bias, (n_out, conv.c_out)).copy()
-    # Scatters move whole rows as void items; width 0 has nothing to add.
-    rows = _row_items(pre)
-    for k, (out_rows, in_rows) in enumerate(pairs if conv.c_out else ()):
+    rows = _row_items(pre)   # scatters move whole rows as void items
+    for k, (out_rows, in_rows) in enumerate(pairs):
         if out_rows is in_rows:
             pre += X @ conv.w[k]
         elif len(out_rows):

@@ -100,13 +100,10 @@ def fuse_early(lidar: SparsePointCloud, virtual: SparsePointCloud) -> SparsePoin
     Rejects inputs with mixed provenance flags; ordering within each source is
     preserved.
     """
-    if lidar.n and (lidar.beta != 0.0).any():
+    if (lidar.beta != 0.0).any():
         raise ValueError("lidar cloud contains non-LiDAR rows (beta != 0)")
-    if virtual.n:
-        if (virtual.beta != 1.0).any():
-            raise ValueError("virtual cloud contains non-virtual rows (beta != 1)")
-        if (virtual.alpha != 0.0).any():
-            raise ValueError("virtual cloud must carry zero intensity")
+    if (virtual.beta != 1.0).any():
+        raise ValueError("virtual cloud contains non-virtual rows (beta != 1)")
     return SparsePointCloud(np.concatenate([lidar.points, virtual.points], axis=0))
 
 

@@ -121,6 +121,7 @@ def neighbors_3d_bruteforce(tensor: SparseVoxelTensor, row: int):
 
 # Share of the probes that must be compared for a check to count.
 MIN_CHECKED_SHARE = 0.9
+GRAD_TOL = 1e-4   # the largest relative error a compared probe may show
 
 # Central-difference step applied to each probed parameter or feature.
 FD_STEP = 1e-4

@@ -218,27 +218,16 @@ def _instance_map(boxes):
     return ids, depth
 
 
-def _shifted(a: np.ndarray, dv: int, du: int, fill) -> np.ndarray:
-    """out[v, u] = a[v + dv, u + du], padded with `fill`."""
-    h, w = a.shape
-    out = np.full_like(a, fill)
-    ys, xs = slice(max(dv, 0), h + min(dv, 0)), slice(max(du, 0), w + min(du, 0))
-    yt, xt = slice(max(-dv, 0), h + min(-dv, 0)), slice(max(-du, 0), w + min(-du, 0))
-    out[yt, xt] = a[ys, xs]
-    return out
-
-
 def silhouette_boundary(ids: np.ndarray) -> np.ndarray:
-    """Instance pixels within BOUNDARY_BAND_PX pixels of a different-id pixel."""
+    """Instance pixels within BOUNDARY_BAND_PX pixels (per axis) of a different-id
+    pixel, where pixels past the image edge count as id -2 (no instance)."""
+    band, (h, w) = BOUNDARY_BAND_PX, ids.shape
+    padded = np.pad(ids, band, constant_values=-2)
     edge = np.zeros_like(ids, dtype=bool)
-    occupied = ids >= 0
-    band = BOUNDARY_BAND_PX
-    for du in range(-band, band + 1):
-        for dv in range(-band, band + 1):
-            if du == 0 and dv == 0:
-                continue
-            edge |= occupied & (_shifted(ids, dv, du, -2) != ids)
-    return edge
+    for dv in range(2 * band + 1):
+        for du in range(2 * band + 1):
+            edge |= padded[dv:dv + h, du:du + w] != ids
+    return edge & (ids >= 0)
 
 
 _FIELD_CELL_PX = 24
@@ -275,8 +264,6 @@ def _virtual_points(spec: SyntheticSceneSpec, boxes, rng: SeededRng):
     reps = np.full(len(uu), n_samples, dtype=np.int64)
     if frac > 0:
         reps += rng.gen.random(len(uu)) < frac
-    keep = reps > 0
-    uu, vv, reps = uu[keep], vv[keep], reps[keep]
     pu = np.repeat(uu, reps).astype(np.float64)
     pv = np.repeat(vv, reps).astype(np.float64)
     pid = np.repeat(ids[vv, uu], reps)

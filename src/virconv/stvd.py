@@ -119,7 +119,7 @@ def layer_stvd(tensor: SparseVoxelTensor, rate: float, rng: SeededRng,
     """
     if not (0.0 <= rate < 1.0):
         raise ValueError("rate must lie in [0, 1)")
-    if not training or rate == 0.0 or tensor.n == 0:
+    if not training or rate == 0.0:
         return tensor
     n_keep = tensor.n - int(round(rate * tensor.n))
     rows = rng.gen.choice(tensor.n, size=n_keep, replace=False)

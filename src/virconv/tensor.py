@@ -169,19 +169,17 @@ def _group(keys, extent) -> tuple:
     """(runs, perm, starts) of (N,) padded keys on extent, overwriting keys:
     keys[perm] ascends with ties in row order, starts[j] is where its j-th
     run of equal keys begins, and runs[j] is that run's key. Strictly rising
-    keys are the runs; other rising keys stay, perm = arange. Else, with r =
-    N.bit_length(), key << r | row is sorted in place (high bits the keys, low
-    r bits perm) when the largest padded key's bit length plus r is at most
-    63; past that, a stable argsort. Runs are found block by block, and the
-    packed buffer becomes perm: no sorted-key column is live beside it."""
+    keys are the runs. Any other keys, rising with repeats or not, are sorted:
+    with r = N.bit_length(), key << r | row is sorted in place (high bits the
+    keys, low r bits perm) when the largest padded key's bit length plus r is
+    at most 63; past that, a stable argsort. Runs are found block by block,
+    and the packed buffer becomes perm: no sorted-key column is live beside it."""
     n = len(keys)
     r = n.bit_length()
     ex, ey, ez = (int(e) + 2 for e in extent)
-    if np.all(keys[1:] >= keys[:-1]):
-        if np.all(keys[1:] > keys[:-1]):   # unique sites: each key is its own run
-            return keys, np.arange(n), np.arange(n)
-        perm, r = np.arange(n), 0
-    elif (ex * ey * ez - 1).bit_length() + r <= 63:
+    if np.all(keys[1:] > keys[:-1]):   # unique sites: each key is its own run
+        return keys, np.arange(n), np.arange(n)
+    if (ex * ey * ez - 1).bit_length() + r <= 63:
         keys <<= r
         keys |= np.arange(n)
         keys.sort()
@@ -268,7 +266,7 @@ class SparseVoxelTensor:
         self._sorted = None
         self._kernel_map = None
         self._cell_map = None   # (read-only copy of h2d, cell map)
-        if _validate and self.n:
+        if _validate:
             skeys, order, starts = _group(_padded_keys(indices, spec.extent), spec.extent)
             self._sorted = skeys, order
             if len(starts) < self.n:   # the first row of the first repeated key

@@ -38,6 +38,7 @@ from virconv.classifier import HEAD_CONV3D, HEAD_NRCONV, VoxelDataset
 from virconv.conv import conv2d_branch, spconv_downsample, submanifold_conv3d
 from virconv.geometry import project_points_chain
 from virconv.oracle import (
+    GRAD_TOL,
     MIN_CHECKED_SHARE,
     dense_conv2d_branch,
     dense_nrconv,
@@ -117,7 +118,7 @@ def test_c2_finite_difference_gradients_100_probes(op):
     print(f"\n[criterion 2] {op} max relative gradient error: {err:.3e} "
           f"({checked} probes compared, {skipped} skipped)")
     assert checked + skipped == 100 and checked >= MIN_CHECKED_SHARE * 100
-    assert err < 1e-4
+    assert err < GRAD_TOL
 
 
 # ---------------------------------------------------------------- criterion 3

@@ -3,7 +3,7 @@
 import pytest
 
 from virconv import ActivationSpec, KernelWeights, SeededRng, SpconvWeights
-from virconv.oracle import MIN_CHECKED_SHARE, gradcheck
+from virconv.oracle import GRAD_TOL, MIN_CHECKED_SHARE, gradcheck
 from conftest import corrupt_conv3d_gradient, random_h2d, random_tensor
 
 LEAKY = ActivationSpec("leaky_relu", 0.1)
@@ -32,7 +32,7 @@ def test_gradcheck_detects_corrupted_gradient(monkeypatch):
     corrupt_conv3d_gradient(monkeypatch)
     t, h2d, w, rng = setup_case("conv3d", seed=3)
     err, checked, _ = gradcheck("conv3d", t, h2d, w, LEAKY, rng, num_probes=40)
-    assert checked > 0 and err > 1e-4
+    assert checked > 0 and err > GRAD_TOL
 
 
 @pytest.mark.parametrize("op", ["conv3d", "nrconv"])

@@ -66,6 +66,12 @@ def test_activation_specs():
         ActivationSpec("swish")
 
 
+@pytest.mark.parametrize("slope", [0.0, 1.0, -0.1, 1.5])
+def test_leaky_relu_slope_outside_zero_one_rejected(slope):
+    with pytest.raises(ValueError, match=r"leaky_relu slope must lie in \(0, 1\)"):
+        ActivationSpec("leaky_relu", slope)
+
+
 def test_kernel_weight_shapes(rng):
     kw = KernelWeights.initialize(5, 8, rng)
     assert kw.conv3d.w.shape == (27, 5, 4) and kw.conv2d.w.shape == (9, 5, 4)

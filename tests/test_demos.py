@@ -11,10 +11,11 @@ import virconv
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 05_noise_classifier.py trains a classifier for ~12 s, so it is left out
-# here; the other four take ~4.5 s together.
+# 05_noise_classifier.py trains two classifiers in ~3-4 s; the other four
+# take ~2 s together.
 DEMOS = ["01_voxelize_and_lookup.py", "02_input_discard.py",
-         "03_convolution_vs_reference.py", "04_backbone_forward.py"]
+         "03_convolution_vs_reference.py", "04_backbone_forward.py",
+         "05_noise_classifier.py"]
 
 
 def test_every_exported_name_resolves():

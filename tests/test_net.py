@@ -156,6 +156,11 @@ def test_fuse_rejects_mislabelled_clouds():
         fuse_early(lidar, lidar)
 
 
+def test_fuse_of_two_empty_clouds_is_empty():
+    fused = fuse_early(SparsePointCloud.empty(), SparsePointCloud.empty())
+    assert fused.points.shape == (0, 5)
+
+
 def test_weight_parameter_naming():
     net = VirConvNetSpec.default()
     weights = NetWeights.initialize(net, SeededRng(0))

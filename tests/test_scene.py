@@ -83,6 +83,40 @@ def test_boundary_band_marks_object_rim_only():
     assert not b[0, 0]                # far background
 
 
+def _boundary_by_scan(ids):
+    """silhouette_boundary pixel by pixel: an instance pixel with a pixel of
+    another id, or a pixel past the image edge, within the band on each axis."""
+    h, w = ids.shape
+    out = np.zeros((h, w), dtype=bool)
+    for v in range(h):
+        for u in range(w):
+            if ids[v, u] < 0:
+                continue
+            for y in range(v - BOUNDARY_BAND_PX, v + BOUNDARY_BAND_PX + 1):
+                for x in range(u - BOUNDARY_BAND_PX, u + BOUNDARY_BAND_PX + 1):
+                    inside = 0 <= y < h and 0 <= x < w
+                    if not inside or ids[y, x] != ids[v, u]:
+                        out[v, u] = True
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), h=st.integers(1, 14), w=st.integers(1, 14))
+@example(seed=0, h=1, w=1)
+@example(seed=5, h=9, w=13)
+def test_silhouette_boundary_matches_a_per_pixel_scan(seed, h, w):
+    """Rectangles of ids 0-3, clipped at the image edges, touching and
+    overlapping each other, on background -1 or, for one seed in five, on a
+    map filled by instance 0."""
+    gen = np.random.default_rng(seed)
+    ids = np.full((h, w), -1 if seed % 5 else 0, dtype=np.int64)
+    for _ in range(gen.integers(0, 6)):
+        v0, u0 = gen.integers(-2, h), gen.integers(-2, w)
+        v1, u1 = v0 + gen.integers(1, h + 3), u0 + gen.integers(1, w + 3)
+        ids[max(v0, 0):v1, max(u0, 0):u1] = gen.integers(0, 4)
+    assert np.array_equal(silhouette_boundary(ids), _boundary_by_scan(ids))
+
+
 # Per bounded field: a value at its bound and values past it. Specs are only
 # constructed; no scene of such a size is generated.
 BOUND_CASES = {"num_objects": (100, [101, 10 ** 9]),
@@ -110,6 +144,13 @@ def test_overcrowded_spec_raises():
                               y_range=(-2.0, 2.0))
     with pytest.raises(RuntimeError, match="could not place box"):
         generate_scene(spec, SeededRng(0))
+
+
+@pytest.mark.parametrize("name", ["lidar_density", "virtual_multiplier"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_non_positive_density_rejected(name, value):
+    with pytest.raises(ValueError, match="densities must be positive"):
+        SyntheticSceneSpec(**{name: value})
 
 
 def test_scene_directory_roundtrip(tmp_path, scene):

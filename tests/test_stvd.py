@@ -152,6 +152,14 @@ def test_layer_discard_count_and_identity():
         layer_stvd(t, 1.0, SeededRng(1), training=True)
 
 
+def test_layer_discard_of_no_rows_draws_nothing():
+    rng = SeededRng(1)
+    state = rng.gen.bit_generator.state
+    out = layer_stvd(tensor_at_distances([]), 0.15, rng, training=True)
+    assert out.n == 0 and out.indices.shape == (0, 3)
+    assert rng.gen.bit_generator.state == state
+
+
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 5_000), n=st.integers(1, 300))
 def test_histogram_conserves_count(seed, n):

@@ -135,6 +135,12 @@ def test_spec_validation():
                       stride_level=3)
 
 
+@pytest.mark.parametrize("extent", [(0, 2, 2), (2, -1, 2), (2, 2, 0)])
+def test_spec_rejects_non_positive_extents(extent):
+    with pytest.raises(ValueError, match="extent components must be positive"):
+        VoxelGridSpec(origin=(0, 0, 0), voxel_size=(1, 1, 1), extent=extent)
+
+
 def test_spec_rejects_extents_whose_padded_keys_overflow_int64():
     # Keys run over the extent padded by one voxel per side.
     side = 2 ** 21 - 3
