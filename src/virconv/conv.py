@@ -5,28 +5,28 @@
   * conv2d_branch: voxels are max-pooled per projected 2D pixel cell, a 3x3
     kernel runs over occupied cells, and each cell's output is scattered
     back to its member voxels.
-  * nrconv: concatenation [3D branch, 2D branch], each half the output width;
-    the 2D half runs first, so its cells are freed before the 3D half allocates.
+  * nrconv: [3D branch, 2D branch] in one (N, C) output; the 2D half runs first,
+    into its own array, so its cells are freed before the output is allocated.
   * spconv_downsample: kernel-3 / stride-2 / padding-1 convolution whose
     output sites are the halved input sites.
 
 All of them are one layer over different pair maps. A pair map lists, per
 kernel offset k, (output rows, input rows); a ConvWeights holds the kernel
-stack w (K, C_in, C_out), the bias and their gradients. One step,
-_pair_conv, computes act(bias + X[in rows] @ w[k] summed into the output
-rows). Each op only supplies its map: tensor.kernel_map() for the 3D branch
+stack w (K, C_in, C_out), the bias and their gradients. One step, _pair_conv,
+computes act(bias + X[in rows] @ w[k] summed into the output rows), in place.
+Each op supplies its map: tensor.kernel_map() for the 3D branch
 (KernelWeights.conv3d), the cell pairs of tensor.cell_map(h2d) for the 2D
 branch (KernelWeights.conv2d), and tensor.pairs_at(2 * out, OFFSETS_3D) for
 the downsample (SpconvWeights, the 27-offset ConvWeights). Every site lookup
 belongs to SparseVoxelTensor, which caches both maps per site set (and h2d).
 Per offset, every pair map is injective in both directions, so no scatter
-needs np.add.at: the forward writes each output row back whole, as one void
-item, and the backward accumulates with fancy indexing. The centre tap of
-both submanifold maps is one shared arange on both sides; the step runs it
-on X directly, without index arrays, in its place in offset order. Within a
-cell, rows go in rank passes: the k-th members of all cells form pass k,
-where no cell repeats, so pooling, its winners and the cell sums are one
-fancy-index update per pass, in row order.
+needs np.add.at: the forward moves each output row whole, as one void item,
+so a column slice can be the output, and the backward accumulates with fancy
+indexing. The centre tap of both submanifold maps is one shared arange on
+both sides; the step runs it on X directly, without index arrays, in its
+place in offset order. Within a cell, rows go in rank passes: the k-th
+members of all cells form pass k, where no cell repeats, so pooling, its
+winners and the cell sums are one fancy-index update per pass, in row order.
 
 Backward passes are exact: pass a Ctx to a forward call, then call the
 matching *_backward with the upstream gradient. Weight gradients accumulate
@@ -49,7 +49,7 @@ from .tensor import OFFSETS_3D, SparseVoxelTensor
 
 @dataclass(frozen=True)
 class ActivationSpec:
-    """Pointwise nonlinearity: relu, leaky_relu(slope) or identity."""
+    """Pointwise nonlinearity: relu, leaky_relu(slope) or identity; apply takes out=."""
 
     kind: str = "relu"
     slope: float = 0.01
@@ -60,12 +60,12 @@ class ActivationSpec:
         if self.kind == "leaky_relu" and not (0.0 < self.slope < 1.0):
             raise ValueError("leaky_relu slope must lie in (0, 1)")
 
-    def apply(self, pre):
+    def apply(self, pre, out=None):
         if self.kind == "relu":
-            return np.maximum(pre, 0.0)
-        if self.kind == "leaky_relu":
-            return np.where(pre > 0, pre, self.slope * pre)
-        return pre
+            return np.maximum(pre, 0.0, out=out)
+        if self.kind == "leaky_relu":   # slope in (0, 1): the larger of pre, slope * pre
+            return np.maximum(pre, self.slope * pre, out=out)
+        return pre if out is None else np.positive(pre, out=out)
 
     def deriv(self, pre):
         """float64 derivative at pre. It reads only pre > 0, so pre may be
@@ -199,30 +199,32 @@ def _check_width(tensor: SparseVoxelTensor, conv: ConvWeights):
 
 
 def _row_items(a: np.ndarray) -> np.ndarray:
-    """(n,) view of a C-contiguous (n, C) array, one void item per row, so that
-    a fancy-index write moves whole rows; width 0 has no rows to move."""
+    """(n,) view of an (n, C) array with contiguous rows (a column slice works),
+    one void item per row, so fancy indexing moves whole rows; width 0 has none."""
     return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0] if a.shape[1] else a
 
 
 def _pair_conv(X: np.ndarray, pairs, conv: ConvWeights, n_out: int,
-               act: ActivationSpec, ctx: Ctx = None) -> np.ndarray:
+               act: ActivationSpec, ctx: Ctx = None, out=None) -> np.ndarray:
     """act(pre) of a pair-map convolution, where the (n_out, C_out) pre is
     bias plus, per offset k, X[in rows] @ w[k] added into the output rows.
     A pair whose out rows are its in rows (one shared arange, the centre of
-    a submanifold map) adds X @ w[k] without gather or scatter. Given a ctx,
-    saves X, pairs, conv, act and pre > 0 as packed bits for the backward."""
-    pre = np.broadcast_to(conv.bias, (n_out, conv.c_out)).copy()
-    rows = _row_items(pre)   # scatters move whole rows as void items
+    a submanifold map) adds X @ w[k] without gather or scatter. pre is out if
+    given, else new; act runs on it in place. Given a ctx, saves X, pairs,
+    conv, act and pre > 0 as packed bits for the backward."""
+    pre = np.empty((n_out, conv.c_out)) if out is None else out
+    pre[...] = conv.bias
+    rows = _row_items(pre)   # gathers and scatters move whole rows as void items
     for k, (out_rows, in_rows) in enumerate(pairs):
         if out_rows is in_rows:
             pre += X @ conv.w[k]
         elif len(out_rows):
             part = X.take(in_rows, axis=0) @ conv.w[k]
-            part += pre.take(out_rows, axis=0)   # pre + part: the same bits
+            part += rows[out_rows].view(pre.dtype).reshape(part.shape)   # same bits as pre + part
             rows[out_rows] = _row_items(part)
     if ctx is not None:
         ctx.save(X=X, pairs=pairs, conv=conv, act=act, positive=np.packbits(pre > 0, axis=None))
-    return act.apply(pre)
+    return act.apply(pre, out=pre)
 
 
 def _pair_conv_backward(saved: dict, grad_out: np.ndarray) -> np.ndarray:
@@ -245,11 +247,13 @@ def _pair_conv_backward(saved: dict, grad_out: np.ndarray) -> np.ndarray:
 
 
 def submanifold_conv3d(tensor: SparseVoxelTensor, weights: KernelWeights,
-                       act: ActivationSpec = RELU, ctx: Ctx = None) -> SparseVoxelTensor:
-    """3x3x3 convolution over occupied sites only; output sites = input sites."""
+                       act: ActivationSpec = RELU, ctx: Ctx = None, out=None) -> SparseVoxelTensor:
+    """3x3x3 convolution over occupied sites only; output sites = input sites.
+    Given an (N, >= C_half) out, it fills its first C_half columns and is the output."""
     _check_width(tensor, weights.conv3d)
-    return tensor.with_features(_pair_conv(tensor.features, tensor.kernel_map(),
-                                           weights.conv3d, tensor.n, act, ctx))
+    half = _pair_conv(tensor.features, tensor.kernel_map(), weights.conv3d, tensor.n, act,
+                      ctx, None if out is None else out[:, :weights.c_half])
+    return tensor.with_features(half if out is None else out)
 
 
 def submanifold_conv3d_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
@@ -332,18 +336,21 @@ def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
 
 def nrconv(tensor: SparseVoxelTensor, h2d: np.ndarray, weights: KernelWeights,
            act: ActivationSpec = RELU, ctx: Ctx = None) -> SparseVoxelTensor:
-    """Noise-resistant conv: concatenate [3D branch, 2D branch] features.
+    """Noise-resistant conv: [3D branch, 2D branch] features in one array.
 
-    The 2D branch runs first, as in nrconv_backward, so its pooled cells are
-    freed before the 3D one allocates. A ctx keeps one Ctx per branch, each
-    with its packed signs. Output sites equal input sites; flags carry through.
+    The 2D branch runs first, as in nrconv_backward, into its own array, freeing
+    its pooled cells before the (N, C) output exists; the 3D branch then fills
+    the left columns. A ctx keeps one Ctx per branch, each with its packed
+    signs. Output sites equal input sites; flags carry through.
     """
     ctx3, ctx2 = (Ctx(), Ctx()) if ctx is not None else (None, None)
-    out2 = conv2d_branch(tensor, h2d, weights, act, ctx2)
-    out3 = submanifold_conv3d(tensor, weights, act, ctx3).features
+    half2 = conv2d_branch(tensor, h2d, weights, act, ctx2)
+    out = np.empty((tensor.n, weights.c_out))
+    out[:, weights.c_half:] = half2
+    del half2
     if ctx is not None:
         ctx.save(ctx3=ctx3, ctx2=ctx2, c_half=weights.c_half)
-    return tensor.with_features(np.concatenate([out3, out2], axis=1))
+    return submanifold_conv3d(tensor, weights, act, ctx3, out)
 
 
 def nrconv_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:

@@ -134,4 +134,6 @@ def test_backbone_matches_the_straight_line_reference(training, case, keep, mode
         assert g.spec == w.spec, (note, level)
         assert np.array_equal(g.indices, w.indices), (note, level)
         err = np.abs(g.features - w.features).max(initial=0.0)
-        assert err <= ORACLE_BOUND * max(1.0, np.abs(w.features).max(initial=0.0)), (note, level)
+        # Each level at its own scale: the default weights shrink the features
+        # ~10x per block, so a max(1, ...) floor would hide level 4 behind ~2%.
+        assert err <= ORACLE_BOUND * np.abs(w.features).max(initial=0.0), (note, level)

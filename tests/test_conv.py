@@ -150,6 +150,37 @@ def test_nrconv_matches_dense_reference_and_concatenates():
     assert np.array_equal(out.features, np.concatenate([half3, half2], axis=1))
 
 
+@pytest.mark.parametrize("act", [RELU, LEAKY, IDENTITY], ids=lambda a: a.kind)
+@pytest.mark.parametrize("rows, c_out", [(None, 2), (None, 0), (0, 2), (0, 0)],
+                         ids=["c_out=2", "c_out=0", "N=0", "N=0,c_out=0"])
+def test_nrconv_writes_both_halves_into_one_output(act, rows, c_out):
+    """nrconv's features are the two halves side by side, byte for byte, in one
+    C-contiguous float64 array; with a Ctx its backward gives the bytes of each
+    half's backward on its column slice, summed."""
+    rng = SeededRng(23)
+    t = random_tensor(rng, c=3)
+    if rows is not None:
+        t = t.take_rows(np.arange(rows))
+    h2d = random_h2d(rng, t.n)
+    kw = KernelWeights.initialize(3, c_out, rng)
+    for conv in (kw.conv3d, kw.conv2d):
+        conv.bias[...] = rng.gen.normal(size=conv.bias.shape)
+    grad = rng.gen.normal(size=(t.n, c_out))
+    ch = kw.c_half
+    ctx = Ctx()
+    out = nrconv(t, h2d, kw, act, ctx).features
+    got = [out, nrconv_backward(ctx, grad), *(g.copy() for _, _, g in kw.params())]
+    kw.zero_grads()
+    ctx3, ctx2 = Ctx(), Ctx()
+    halves = [submanifold_conv3d(t, kw, act, ctx3).features, conv2d_branch(t, h2d, kw, act, ctx2)]
+    gX = submanifold_conv3d_backward(ctx3, grad[:, :ch])
+    gX += conv2d_branch_backward(ctx2, grad[:, ch:])
+    want = [np.concatenate(halves, axis=1), gX, *(g.copy() for _, _, g in kw.params())]
+    assert out.dtype == np.float64 and out.flags.c_contiguous and out.shape == (t.n, c_out)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_spconv_matches_dense_reference():
     for seed in range(8):
         rng = SeededRng(seed)

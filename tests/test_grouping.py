@@ -1,8 +1,8 @@
 """The one grouping sort of padded keys, tensor._group, against a stable
 argsort; sorted_keys and cell_map against the argsort formulas they were
-first written with; and row-permutation and translation equivariance of the
-ops built on them, and the 2D branch's indifference to a relabelling of its
-cells, which need no oracle."""
+first written with; and row-permutation equivariance of the ops built on them
+and of their backwards, their translation equivariance, and the 2D branch's
+indifference to a relabelling of its cells, which need no oracle."""
 
 import math
 
@@ -21,7 +21,13 @@ from virconv import (
     spconv_downsample,
     submanifold_conv3d,
 )
-from virconv.conv import Ctx, conv2d_branch_backward
+from virconv.conv import (
+    Ctx,
+    conv2d_branch_backward,
+    nrconv_backward,
+    spconv_downsample_backward,
+    submanifold_conv3d_backward,
+)
 from virconv.geometry import INVALID_2D
 from virconv.tensor import OFFSETS_2D, _group, _padded_keys
 from conftest import random_h2d
@@ -147,6 +153,53 @@ def test_ops_commute_with_a_row_permutation_bit_for_bit(seed, extent, n):
     for x, y in ((a.indices, b.indices), (a.features, b.features),
                  (a.origin_flags, b.origin_flags)):
         assert_same_bits(y, x)
+
+
+def assert_within_oracle_bound(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-5 * max(1.0, np.abs(want).max(initial=0.0))
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), extent=st.sampled_from([(4, 4, 4), (7, 3, 5)]),
+       n=st.integers(0, 90))
+def test_backwards_commute_with_a_row_permutation(seed, extent, n):
+    """Normal features hold no ties, so each pooled max has one winner. Moving
+    the rows, with their h2d and upstream gradient, moves each input gradient
+    with them; the weight gradients add the same terms in another order, so
+    both agree within the 1e-5 oracle bound."""
+    rng = SeededRng(seed)
+    t = shuffled_tensor(rng, extent, n)
+    h2d = random_h2d(rng, t.n, span=4, invalid_frac=0.2)
+    perm = rng.gen.permutation(t.n)
+    kw, down = KernelWeights.initialize(t.width, 4, rng), SpconvWeights.initialize(t.width, 3, rng)
+    for conv in (kw.conv3d, kw.conv2d, down):
+        conv.bias[...] = rng.gen.normal(size=conv.bias.shape)
+    # (forward, backward, whether the output rows move with the input rows)
+    ops = [(lambda x, h, c: submanifold_conv3d(x, kw, LEAKY, c).features,
+            submanifold_conv3d_backward, True),
+           (lambda x, h, c: conv2d_branch(x, h, kw, LEAKY, c), conv2d_branch_backward, True),
+           (lambda x, h, c: nrconv(x, h, kw, LEAKY, c).features, nrconv_backward, True),
+           (lambda x, h, c: spconv_downsample(x, down, LEAKY, c).features,
+            spconv_downsample_backward, False)]
+    upstream = []   # per op, drawn for t's output rows
+    runs = []
+    for x, h, rows in ((t, h2d, None), (t.take_rows(perm), h2d[perm], perm)):
+        run = []
+        for i, (forward, backward, moves) in enumerate(ops):
+            kw.zero_grads()
+            down.zero_grads()
+            ctx = Ctx()
+            out = forward(x, h, ctx)
+            if rows is None:
+                upstream.append(rng.gen.normal(size=out.shape))
+            g = upstream[i] if rows is None or not moves else upstream[i][rows]
+            run.append([backward(ctx, g), *(w.copy() for _, _, w in kw.params() + down.params())])
+        runs.append(run)
+    for (gX, *weights), (gX_p, *weights_p) in zip(*runs):
+        assert_within_oracle_bound(gX_p, gX[perm])
+        for got, want in zip(weights_p, weights):
+            assert_within_oracle_bound(got, want)
 
 
 @settings(deadline=None, max_examples=40)
