@@ -69,7 +69,7 @@ def default_classifier_scene_spec() -> SyntheticSceneSpec:
 
 @dataclass
 class VoxelDataset:
-    tensor: object
+    tensor: object       # voxelize's features, coordinates centered by _normalize
     h2d: np.ndarray
     labels: np.ndarray   # bool per voxel: majority of member points displaced
 
@@ -84,7 +84,7 @@ def scene_to_dataset(scene: Scene) -> VoxelDataset:
     labels = noise[:, 0] > 0.5
     h2d = project_voxels(tensor, AugmentationRecord.identity(),
                          synthetic_calibration(), pixel_cell=CLASSIFIER_PIXEL_CELL)
-    return VoxelDataset(tensor=tensor, h2d=h2d, labels=labels)
+    return VoxelDataset(tensor=_normalize(tensor), h2d=h2d, labels=labels)
 
 
 def _normalize(tensor):
@@ -113,11 +113,10 @@ class NoiseClassifier:
         self.b_lin = 0.0
 
     def logits(self, ds: VoxelDataset, ctx: Ctx = None):
-        t = _normalize(ds.tensor)
         if self.head == HEAD_NRCONV:
-            feats = nrconv(t, ds.h2d, self.kw, self.act, ctx).features
+            feats = nrconv(ds.tensor, ds.h2d, self.kw, self.act, ctx).features
         else:
-            feats = submanifold_conv3d(t, self.kw, self.act, ctx).features
+            feats = submanifold_conv3d(ds.tensor, self.kw, self.act, ctx).features
         return feats @ self.w_lin + self.b_lin, feats
 
     def train_step(self, datasets, lr: float):

@@ -9,6 +9,7 @@ volumes of widths 16/32/64/64 at strides 1/2/4/8.
 
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,14 +35,12 @@ NRCONV_LAYERS_PER_BLOCK = 2
 class VirConvBlockSpec:
     c_in: int
     c_out: int
-    layer_stvd_rate: float = 0.15
     downsample: bool = True
+    layer_stvd_rate: ClassVar[float] = 0.15
 
     def __post_init__(self):
         if self.c_out % 2:
             raise ValueError("c_out must be even")
-        if not (0.0 <= self.layer_stvd_rate < 1.0):
-            raise ValueError("layer_stvd_rate must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

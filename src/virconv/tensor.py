@@ -135,7 +135,7 @@ def _key_rows(keys, extent) -> np.ndarray:
     return rows
 
 
-BLOCK_ROWS = 1 << 14   # rows per block where point_keys, _group and site_means stream
+BLOCK_ROWS = 1 << 14   # rows per block where point_keys and site_means stream
 
 
 def point_keys(points, spec) -> np.ndarray:
@@ -172,8 +172,8 @@ def _group(keys, extent) -> tuple:
     keys are the runs. Any other keys, rising with repeats or not, are sorted:
     with r = N.bit_length(), key << r | row is sorted in place (high bits the
     keys, low r bits perm) when the largest padded key's bit length plus r is
-    at most 63; past that, a stable argsort. Runs are found block by block,
-    and the packed buffer becomes perm: no sorted-key column is live beside it."""
+    at most 63; past that, a stable argsort. The packed buffer becomes perm:
+    no sorted-key column is live beside it."""
     n = len(keys)
     r = n.bit_length()
     ex, ey, ez = (int(e) + 2 for e in extent)
@@ -189,9 +189,7 @@ def _group(keys, extent) -> tuple:
         keys = keys[perm]
     new = np.empty(n, dtype=bool)
     new[:1] = True
-    for s in range(0, n, BLOCK_ROWS):   # a new run where the high bits change
-        w = keys[s:s + BLOCK_ROWS + 1]
-        np.greater(w[1:] ^ w[:-1], (1 << r) - 1, out=new[s + 1:s + len(w)])
+    np.greater(keys[1:] ^ keys[:-1], (1 << r) - 1, out=new[1:])   # where the high bits change
     starts = np.flatnonzero(new)
     runs = keys[starts] >> r
     if perm is None:
@@ -242,9 +240,9 @@ class SparseVoxelTensor:
     then walks up the column, where padded keys step by 1 in z. _self_pairs
     searches a column-complete half and mirrors it, for both submanifold maps:
     the 27-offset kernel map of the sites, and the 9-offset map of the pixel
-    cells in cell_map. These lookup structures are built lazily, once per
-    site set (and h2d): `with_features` shares them, while `take_rows` and
-    every new tensor start without.
+    cells in cell_map. sorted_keys rebuilds the keys on each call; the two maps
+    are built lazily, once per site set (and h2d), and cached: `with_features`
+    shares them, while `take_rows` and every new tensor start without.
     """
 
     def __init__(self, indices, features, spec, origin_flags=None, _validate=True):
@@ -263,12 +261,10 @@ class SparseVoxelTensor:
         if origin_flags is not None:
             self.origin_flags = origin_flags.astype(np.int8, copy=False)
             self.origin_flags.setflags(write=False)
-        self._sorted = None
         self._kernel_map = None
         self._cell_map = None   # (read-only copy of h2d, cell map)
         if _validate:
-            skeys, order, starts = _group(_padded_keys(indices, spec.extent), spec.extent)
-            self._sorted = skeys, order
+            _, order, starts = _group(_padded_keys(indices, spec.extent), spec.extent)
             if len(starts) < self.n:   # the first row of the first repeated key
                 dup = order[starts[np.argmax(np.diff(starts, append=self.n) > 1)]]
                 raise ValueError(f"duplicate voxel index {tuple(int(v) for v in indices[dup])}")
@@ -289,15 +285,11 @@ class SparseVoxelTensor:
         return (indices[:, 0] * ey + indices[:, 1]) * ez + indices[:, 2]
 
     def sorted_keys(self):
-        """(sorted padded keys, row order) of the unique sites, cached."""
-        if self._sorted is None:
-            self._sorted = _group(_padded_keys(self.indices, self.spec.extent),
-                                  self.spec.extent)[:2]
-        return self._sorted
+        """(sorted padded keys, row order) of the unique sites, built on each call."""
+        return _group(_padded_keys(self.indices, self.spec.extent), self.spec.extent)[:2]
 
-    def _locate(self, keys):
-        """(position in sorted_keys, hit mask) per padded query key."""
-        skeys, _ = self.sorted_keys()
+    def _locate(self, skeys, keys):
+        """(position in the sorted keys skeys, hit mask) per padded query key."""
         pos = np.searchsorted(skeys, keys)
         np.minimum(pos, len(skeys) - 1, out=pos)
         return pos, skeys[pos] == keys
@@ -341,7 +333,7 @@ class SparseVoxelTensor:
         for k in np.argsort(shifts, kind="stable"):   # (dx, dy) columns, each by dz
             if tuple(offsets[k, :2]) != column:         # one search per column
                 column, at = tuple(offsets[k, :2]), shifts[k]
-                pos, hit = self._locate(keys + at)
+                pos, hit = self._locate(skeys, keys + at)
             for at in range(at + 1, shifts[k] + 1):     # one dz step is one key up
                 pos += hit   # past a hit, the next key can only sit at pos + 1
                 hit = skeys.take(pos, mode="clip") == keys + at
@@ -419,13 +411,12 @@ class SparseVoxelTensor:
         return self._cell_map[1]
 
     def with_features(self, features) -> "SparseVoxelTensor":
-        """Same sites and flags, new feature matrix. Shares index storage and caches."""
+        """Same sites and flags, new feature matrix. Shares index storage and maps."""
         features = np.ascontiguousarray(features, dtype=np.float64)
         _check_features(features, self.n)
         out = SparseVoxelTensor(self.indices, features, self.spec, self.origin_flags,
                                 _validate=False)
-        out._sorted, out._kernel_map, out._cell_map = (
-            self._sorted, self._kernel_map, self._cell_map)
+        out._kernel_map, out._cell_map = self._kernel_map, self._cell_map
         return out
 
     def downsampled_sites(self) -> tuple:

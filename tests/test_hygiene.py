@@ -52,7 +52,7 @@ def test_unused_import_check_sees_names_and_annotations():
 
 
 # SparseVoxelTensor's lookup caches: only tensor.py builds, reads or shares them.
-TENSOR_CACHES = {"_sorted", "_kernel_map", "_cell_map"}
+TENSOR_CACHES = {"_kernel_map", "_cell_map"}
 
 
 def cache_accesses(source: str) -> list:
@@ -71,8 +71,8 @@ def test_only_tensor_module_touches_lookup_caches():
 
 
 def test_cache_access_check_sees_reads_and_writes():
-    src = "t._cell_map = (h, m)\nx = t._sorted[0]\ny = t.sorted_keys()\n"
-    assert cache_accesses(src) == [(1, "_cell_map"), (2, "_sorted")]
+    src = "t._cell_map = (h, m)\nx = t._kernel_map[0]\ny = t.sorted_keys()\n"
+    assert cache_accesses(src) == [(1, "_cell_map"), (2, "_kernel_map")]
 
 
 def unreferenced_private_defs(sources: dict) -> list:
@@ -167,7 +167,6 @@ UNPASSED_ALLOWED = {
     ("AugmentationRecord", "rotation_z"): "the augmentation-inverse criterion (c6) sets it",
     ("AugmentationRecord", "scale"): "the augmentation-inverse criterion (c6) sets it",
     ("AugmentationRecord", "flip_y"): "the augmentation-inverse criterion (c6) sets it",
-    ("VirConvBlockSpec", "layer_stvd_rate"): "perfbench reads it from every block spec",
 }
 
 

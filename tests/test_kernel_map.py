@@ -1,7 +1,9 @@
 """The cached submanifold kernel map and 2D cell map, and the injectivity
 that lets the convs scatter without np.add.at."""
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -205,7 +207,8 @@ def test_map_builds_search_once_per_dx_dy_column(rng, monkeypatch):
     searches = []
     locate = SparseVoxelTensor._locate
     monkeypatch.setattr(SparseVoxelTensor, "_locate",
-                        lambda self, keys: searches.append(len(keys)) or locate(self, keys))
+                        lambda self, skeys, keys: searches.append(len(keys))
+                        or locate(self, skeys, keys))
     t = random_tensor(rng)
     t.kernel_map()
     assert searches == [t.n] * 5
@@ -219,6 +222,26 @@ def test_map_builds_search_once_per_dx_dy_column(rng, monkeypatch):
     assert searches == []
     out = spconv_downsample(t, SpconvWeights.initialize(t.width, 2, rng))
     assert searches == [out.n] * 9
+
+
+def test_map_builds_leave_no_sorted_keys_alive(rng, monkeypatch):
+    """Sorted keys live only while a map is built: after a kernel map and a
+    downsample, no sorted-key array survives beside the tensors."""
+    refs = []
+    sorted_keys = SparseVoxelTensor.sorted_keys
+
+    def recording(self):
+        skeys, order = sorted_keys(self)
+        refs.append(weakref.ref(skeys))
+        return skeys, order
+
+    monkeypatch.setattr(SparseVoxelTensor, "sorted_keys", recording)
+    t = random_tensor(rng)
+    t.kernel_map()
+    out = spconv_downsample(t, SpconvWeights.initialize(t.width, 2, rng))
+    gc.collect()
+    assert len(refs) == 2 and t.n and out.n
+    assert [r for r in refs if r() is not None] == []
 
 
 @st.composite
@@ -342,7 +365,7 @@ def test_training_digest_is_stable_and_matches_an_uncached_run(monkeypatch):
 
     def uncached(self, *args, **kwargs):
         out = with_features(self, *args, **kwargs)
-        out._sorted = out._kernel_map = out._cell_map = None
+        out._kernel_map = out._cell_map = None
         return out
 
     monkeypatch.setattr(SparseVoxelTensor, "with_features", uncached)
