@@ -5,15 +5,16 @@
   * conv2d_branch: voxels are max-pooled per projected 2D pixel cell, a 3x3
     kernel runs over occupied cells, and each cell's output is scattered
     back to its member voxels.
-  * nrconv: [3D branch, 2D branch] in one (N, C) output; the 2D half runs first,
-    into its own array, so its cells are freed before the output is allocated.
+  * nrconv: [3D branch, 2D branch] in one (N, C) output, which the 2D half
+    allocates once its cells are freed; the 3D half then fills the left columns.
   * spconv_downsample: kernel-3 / stride-2 / padding-1 convolution whose
     output sites are the halved input sites.
 
 All of them are one layer over different pair maps. A pair map lists, per
 kernel offset k, (output rows, input rows); a ConvWeights holds the kernel
 stack w (K, C_in, C_out), the bias and their gradients. One step, _pair_conv,
-computes act(bias + X[in rows] @ w[k] summed into the output rows), in place.
+computes act(bias + X[in rows] @ w[k] summed into the output rows), in place,
+over row spans of at most PRODUCT_ROWS, so its temporaries do not grow with N.
 Each op supplies its map: tensor.kernel_map() for the 3D branch
 (KernelWeights.conv3d), the cell pairs of tensor.cell_map(h2d) for the 2D
 branch (KernelWeights.conv2d), and tensor.pairs_at(2 * out, OFFSETS_3D) for
@@ -45,6 +46,8 @@ import numpy as np
 
 from .rng import SeededRng
 from .tensor import OFFSETS_3D, SparseVoxelTensor
+
+PRODUCT_ROWS = 1024   # most rows per product in the pair step: see _spans
 
 
 @dataclass(frozen=True)
@@ -204,24 +207,34 @@ def _row_items(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0] if a.shape[1] else a
 
 
+def _spans(n: int) -> list:
+    """ceil(n / PRODUCT_ROWS) [lo, hi) spans covering [0, n) in order, equal to
+    within one row, so none is under PRODUCT_ROWS / 2 once n exceeds it: with
+    OpenBLAS, a row's bits were seen to change only in products of <= 37 rows."""
+    parts = -(-n // PRODUCT_ROWS)
+    return [(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+
+
 def _pair_conv(X: np.ndarray, pairs, conv: ConvWeights, n_out: int,
                act: ActivationSpec, ctx: Ctx = None, out=None) -> np.ndarray:
     """act(pre) of a pair-map convolution, where the (n_out, C_out) pre is
-    bias plus, per offset k, X[in rows] @ w[k] added into the output rows.
-    A pair whose out rows are its in rows (one shared arange, the centre of
-    a submanifold map) adds X @ w[k] without gather or scatter. pre is out if
-    given, else new; act runs on it in place. Given a ctx, saves X, pairs,
-    conv, act and pre > 0 as packed bits for the backward."""
+    bias plus, per offset k and _spans span, X[in rows] @ w[k] added into the
+    output rows. A pair whose out rows are its in rows (one shared arange, the
+    centre of a submanifold map) adds X @ w[k] without gather or scatter. pre
+    is out if given, else new; act runs on it in place. Given a ctx, saves X,
+    pairs, conv, act and pre > 0 as packed bits for the backward."""
     pre = np.empty((n_out, conv.c_out)) if out is None else out
     pre[...] = conv.bias
     rows = _row_items(pre)   # gathers and scatters move whole rows as void items
     for k, (out_rows, in_rows) in enumerate(pairs):
-        if out_rows is in_rows:
-            pre += X @ conv.w[k]
-        elif len(out_rows):
-            part = X.take(in_rows, axis=0) @ conv.w[k]
-            part += rows[out_rows].view(pre.dtype).reshape(part.shape)   # same bits as pre + part
-            rows[out_rows] = _row_items(part)
+        for lo, hi in _spans(len(out_rows)):
+            if out_rows is in_rows:
+                pre[lo:hi] += X[lo:hi] @ conv.w[k]
+                continue
+            part = X.take(in_rows[lo:hi], axis=0) @ conv.w[k]
+            part += rows[out_rows[lo:hi]].view(pre.dtype).reshape(part.shape)   # = pre + part
+            rows[out_rows[lo:hi]] = _row_items(part)
+            del part   # before the next span's gather
     if ctx is not None:
         ctx.save(X=X, pairs=pairs, conv=conv, act=act, positive=np.packbits(pre > 0, axis=None))
     return act.apply(pre, out=pre)
@@ -238,11 +251,14 @@ def _pair_conv_backward(saved: dict, grad_out: np.ndarray) -> np.ndarray:
     for k, (out_rows, in_rows) in enumerate(saved["pairs"]):
         if out_rows is in_rows:
             conv.g_w[k] += X.T @ gpre
-            gX += gpre @ conv.w[k].T
+            for lo, hi in _spans(len(X)):
+                gX[lo:hi] += gpre[lo:hi] @ conv.w[k].T
         elif len(out_rows):
             g = gpre[out_rows]
             conv.g_w[k] += X[in_rows].T @ g
-            gX[in_rows] += g @ conv.w[k].T
+            for lo, hi in _spans(len(g)):
+                gX[in_rows[lo:hi]] += g[lo:hi] @ conv.w[k].T
+            del g
     return gX
 
 
@@ -288,12 +304,13 @@ def _cell_sum(G: np.ndarray, first, passes) -> np.ndarray:
 
 def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
                   weights: KernelWeights, act: ActivationSpec = RELU,
-                  ctx: Ctx = None) -> np.ndarray:
+                  ctx: Ctx = None, width: int = None) -> np.ndarray:
     """Image-plane branch: pool per 2D cell, 3x3 conv over cells, scatter back.
 
-    Returns an (N, C_half) feature matrix aligned with the input rows. Voxels
-    with an invalid projection receive the empty-neighborhood result
-    act(bias).
+    Returns an (N, C_half) feature matrix aligned with the input rows; given
+    width, an (N, width) one, allocated after the pooled cells are freed, with
+    the branch in its last C_half columns. Voxels with an invalid projection
+    receive the empty-neighborhood result act(bias).
     """
     if len(h2d) != tensor.n:
         raise ValueError(f"h2d has {len(h2d)} rows for {tensor.n} voxels")
@@ -304,9 +321,9 @@ def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
                           len(first), act, ctx)
     if ctx is not None:   # the rank, not pooled: the backward pools the features again
         ctx.save(tensor=tensor, valid=valid, first=first, passes=passes, X=None)
-    out = np.empty((tensor.n, conv.c_out))
-    out[~valid] = act.apply(conv.bias[None, :])
-    slots, items = _row_items(out), _row_items(cell_out)
+    out = np.empty((tensor.n, width or conv.c_out))
+    slots, items = _row_items(out[:, out.shape[1] - conv.c_out:]), _row_items(cell_out)
+    slots[~valid] = _row_items(act.apply(conv.bias[None, :]))
     slots[first] = items
     for rows, cells in passes:
         slots[rows] = items[cells]
@@ -338,16 +355,14 @@ def nrconv(tensor: SparseVoxelTensor, h2d: np.ndarray, weights: KernelWeights,
            act: ActivationSpec = RELU, ctx: Ctx = None) -> SparseVoxelTensor:
     """Noise-resistant conv: [3D branch, 2D branch] features in one array.
 
-    The 2D branch runs first, as in nrconv_backward, into its own array, freeing
-    its pooled cells before the (N, C) output exists; the 3D branch then fills
-    the left columns. A ctx keeps one Ctx per branch, each with its packed
-    signs. Output sites equal input sites; flags carry through.
+    The 2D branch runs first, as in nrconv_backward: it allocates the (N, C)
+    output once its pooled cells are freed and scatters its rows into the right
+    columns; the 3D branch then fills the left columns in place. A ctx keeps
+    one Ctx per branch, each with its packed signs. Output sites equal input
+    sites; flags carry through.
     """
     ctx3, ctx2 = (Ctx(), Ctx()) if ctx is not None else (None, None)
-    half2 = conv2d_branch(tensor, h2d, weights, act, ctx2)
-    out = np.empty((tensor.n, weights.c_out))
-    out[:, weights.c_half:] = half2
-    del half2
+    out = conv2d_branch(tensor, h2d, weights, act, ctx2, weights.c_out)
     if ctx is not None:
         ctx.save(ctx3=ctx3, ctx2=ctx2, c_half=weights.c_half)
     return submanifold_conv3d(tensor, weights, act, ctx3, out)

@@ -24,6 +24,7 @@ from .tensor import (
 )
 
 MIN_CAMERA_DEPTH = 0.1  # meters; projections at or behind this are invalid
+MAX_PIXEL_CELL = 2**29  # valid cells lie inside +-this: cell_map's keys stay in int64
 
 
 class FormatError(ValueError):
@@ -202,13 +203,19 @@ def project_points_chain(points_current_frame, record, calib, pixel_cell=1):
 
     Transforms the points back to the original sensor frame through the
     recorded augmentation, projects them, and discretizes to pixel cells.
-    Invalid projections get the INVALID_2D sentinel in both columns.
+    Invalid projections get the INVALID_2D sentinel in both columns; a valid
+    one at or past MAX_PIXEL_CELL (or NaN) on either axis raises ValueError.
     """
     if pixel_cell < 1:
         raise ValueError("pixel_cell must be a positive integer")
     original = apply_inverse(points_current_frame, record)
     uv, valid = project_to_image(original, calib)
-    cells = np.floor(uv / pixel_cell).astype(np.int64)
+    cells = np.where(valid[:, None], np.floor(uv / pixel_cell), 0.0)
+    far = ~(np.abs(cells) < MAX_PIXEL_CELL).all(axis=1)   # NaN is far too
+    if far.any():
+        raise ValueError(f"the calibration projects a point to pixel cell "
+                         f"{tuple(cells[far][0].tolist())}, at or past +-2**29 cells")
+    cells = cells.astype(np.int64)
     cells[~valid] = INVALID_2D
     return cells
 

@@ -122,6 +122,24 @@ def test_forward_rejects_a_calibration_with_bad_numbers(scene_dir, tmp_path, cap
         assert "key P2 has a non-" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("focal", ["1e25", "1e17"])
+def test_forward_rejects_a_calibration_that_projects_past_int64_cells(focal, scene_dir,
+                                                                     tmp_path, capsys):
+    """Finite focal lengths that throw valid projections past +-2**29 pixel
+    cells end in a configuration error naming the calibration, not in a cast
+    warning (1e25) or an overflowing cell-key extent (1e17)."""
+    calib = tmp_path / "calib.txt"
+    text = (scene_dir / "calib.txt").read_text()
+    calib.write_text(text.replace("P2: 400.0 0.0 608.0 0.0 0.0 400.0",
+                                  f"P2: {focal} 0.0 608.0 0.0 0.0 {focal}"))
+    assert calib.read_text() != text
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["forward", "--lidar", scene_dir / "lidar.bin", "--calib", calib])
+    assert code == EXIT_CONFIG
+    assert "the calibration projects a point to pixel cell" in capsys.readouterr().err
+
+
 def test_forward_rejects_a_calibration_key_with_the_wrong_count(scene_dir, tmp_path, capsys):
     text = (scene_dir / "calib.txt").read_text()
     p2 = next(line for line in text.splitlines() if line.startswith("P2:"))

@@ -1,5 +1,6 @@
 """Sparse convolution forwards against the dense reference implementations."""
 
+import copy
 import tracemalloc
 import weakref
 
@@ -18,13 +19,16 @@ from virconv import (
     spconv_downsample,
     submanifold_conv3d,
 )
+from virconv import conv as vconv
 from virconv.conv import (
     IDENTITY,
+    PRODUCT_ROWS,
     RELU,
     ConvWeights,
     Ctx,
     _pair_conv,
     _pair_conv_backward,
+    _spans,
     conv2d_branch_backward,
     nrconv_backward,
     spconv_downsample_backward,
@@ -32,12 +36,14 @@ from virconv.conv import (
 )
 from virconv.geometry import INVALID_2D
 from virconv.oracle import (
+    _BACKWARD,
+    _FORWARD,
     dense_conv2d_branch,
     dense_nrconv,
     dense_spconv_downsample,
     dense_submanifold_conv3d,
 )
-from virconv.tensor import ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL
+from virconv.tensor import OFFSETS_3D, ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL
 from conftest import random_h2d, random_tensor
 
 LEAKY = ActivationSpec("leaky_relu", 0.1)
@@ -469,3 +475,111 @@ def test_a_spent_tape_frees_the_features_it_held(rng):
     grad = nrconv_backward(ctxs[1], grad)
     assert middle() is None
     assert nrconv_backward(ctxs[0], grad).shape == t.features.shape
+
+
+@pytest.mark.parametrize("n", [0, 1, 1024, 1025, 10_243])
+def test_spans_cover_the_rows_in_order_in_pieces_of_512_to_1024_rows(n):
+    spans = _spans(n)
+    assert PRODUCT_ROWS == 1024 and type(spans) is list
+    assert len(spans) == -(-n // PRODUCT_ROWS)
+    bounds = [0] + [hi for _, hi in spans]
+    assert [lo for lo, _ in spans] == bounds[:-1] and bounds[-1] == n
+    for lo, hi in spans:
+        assert 0 < hi - lo <= PRODUCT_ROWS
+        assert n <= PRODUCT_ROWS or hi - lo >= PRODUCT_ROWS // 2
+
+
+def _span_case():
+    """2,500 sites on even x and y (any z) and their h2d, with 10% invalid.
+    Some non-centre offset of every op's pair map has over PRODUCT_ROWS pairs,
+    so each product of the step runs over several spans: the 3D map along z,
+    the downsample's (0, 0, dz) offsets, and the 2D cells (about 2 rows each)
+    along u."""
+    rng = SeededRng(3)
+    a, depth = 12, 24
+    flat = rng.gen.choice(a * a * depth, size=2500, replace=False)
+    idx = np.stack([2 * (flat // (a * depth)), 2 * (flat // depth % a), flat % depth], axis=1)
+    spec = VoxelGridSpec((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), (2 * a, 2 * a, depth))
+    t = SparseVoxelTensor(idx, rng.gen.normal(size=(len(idx), 3)), spec)
+    h2d = np.stack([idx[:, 0] // 2 * (depth // 2) + idx[:, 2] // 2, idx[:, 1] // 2], axis=1)
+    h2d[rng.gen.random(t.n) < 0.1] = INVALID_2D
+    down = t.pairs_at(2 * t.downsampled_sites()[1], OFFSETS_3D)
+    for pairs in (t.kernel_map(), t.cell_map(h2d)[3], down):
+        assert max(len(o) for o, i in pairs if o is not i) > PRODUCT_ROWS
+    return t, h2d
+
+
+def _oracle_slope(dense, t, weights, V, W, G, eps=1e-6) -> float:
+    """d/ds of sum(G * dense(features + s V, parameters + s W)) at s = 0, by a
+    central difference of the dense oracle: exact up to rounding for the
+    bilinear conv, and for the pooling while no cell max changes hands."""
+    def loss(s):
+        w = copy.deepcopy(weights)
+        for (_, arr, _), d in zip(w.params(), W):
+            arr += s * d
+        return np.sum(G * dense(t.with_features(t.features + s * V), w))
+    return (loss(eps) - loss(-eps)) / (2 * eps)
+
+
+DENSE = {
+    "conv3d": lambda t, h2d, w: dense_submanifold_conv3d(t, w, LEAKY),
+    "conv2d": lambda t, h2d, w: dense_conv2d_branch(t, h2d, w, LEAKY),
+    "nrconv": lambda t, h2d, w: dense_nrconv(t, h2d, w, LEAKY),
+    "spconv": lambda t, h2d, w: dense_spconv_downsample(t, w, LEAKY)[1],
+}
+
+
+@pytest.mark.parametrize("op", list(DENSE))
+def test_ops_over_several_row_spans_match_the_oracle_and_a_single_span(op, monkeypatch):
+    """Forward and backward over several PRODUCT_ROWS spans agree with the
+    dense oracle (the backward through one random direction of features and
+    parameters) within the 1e-5 bound, and with one span over all rows
+    within 1e-12."""
+    t, h2d = _span_case()
+    rng = SeededRng(8)
+    weights = (SpconvWeights if op == "spconv" else KernelWeights).initialize(3, 4, rng)
+    for name, arr, _ in weights.params():
+        if name.startswith("bias"):
+            arr[...] = rng.gen.normal(size=arr.shape)
+    want = DENSE[op](t, h2d, weights)
+    G = rng.gen.normal(size=want.shape)
+
+    def run():
+        weights.zero_grads()
+        ctx = Ctx()
+        out = _FORWARD[op](t, h2d, weights, LEAKY, ctx)
+        return [out, _BACKWARD[op](ctx, G), *(g.copy() for _, _, g in weights.params())]
+
+    spans = run()
+    assert rel_err(spans[0], want) < 1e-5
+    V = rng.gen.normal(size=t.features.shape)
+    W = [rng.gen.normal(size=arr.shape) for _, arr, _ in weights.params()]
+    slope = _oracle_slope(lambda t, w: DENSE[op](t, h2d, w), t, weights, V, W, G)
+    got = np.sum(spans[1] * V) + sum(np.sum(g * d) for g, d in zip(spans[2:], W))
+    assert abs(got - slope) <= 1e-5 * max(1.0, abs(slope))
+    monkeypatch.setattr(vconv, "PRODUCT_ROWS", 10**9)
+    for many, one in zip(spans, run()):
+        assert rel_err(many, one) <= 1e-12
+
+
+def test_nrconv_scratch_does_not_grow_with_the_row_count():
+    """Past its (N, C) output, one nrconv call's peak is per-span scratch:
+    it grows by under 5% from N = 3,000 to 6,000 sites at one density
+    (C = 32, 100 coarse cells, maps built beforehand). An (N, C/2) 2D half
+    copied into the output, or a whole-N product, doubles with N."""
+    scratch = []
+    for extent_y in (20, 40):
+        rng = SeededRng(2)
+        t = random_tensor(rng, extent=(20, extent_y, 25), occupancy=0.3, c=32)
+        h2d = rng.gen.integers(0, 10, size=(t.n, 2))
+        kw = KernelWeights.initialize(32, 32, rng)
+        t.kernel_map(), t.cell_map(h2d)   # the maps are cached per tensor
+        tracemalloc.start()
+        try:
+            out = nrconv(t, h2d, kw).features
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.n == 150 * extent_y and len(t.cell_map(h2d)[1]) == 100
+        scratch.append(peak - out.nbytes)
+    assert scratch[1] < 1.05 * scratch[0], f"{scratch[0]} -> {scratch[1]} bytes"

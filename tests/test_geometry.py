@@ -263,6 +263,40 @@ def test_project_points_chain_pixel_cell():
         project_points_chain(pts, AugmentationRecord.identity(), calib, pixel_cell=0)
 
 
+def _pinhole(cx, depth_scale=1.0) -> Calibration:
+    """Calibration that maps the LiDAR point (x, 0, 0), x > 0, to pixel u = cx
+    at depth depth_scale * x; x <= 0 lies behind the camera."""
+    return Calibration(np.array([[1.0, 0.0, cx, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                 [0.0, 0.0, depth_scale, 0.0]]),
+                       np.eye(3), np.array([[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0],
+                                            [1.0, 0.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("cx, pixel_cell, cell", [
+    (2**29 - 0.5, 1, 2**29 - 1), (-(2**29) + 1, 1, -(2**29) + 1), (2**30, 4, 2**28),
+    (2**29, 1, None), (-(2**29), 1, None), (-(2**29) - 0.5, 1, None)])
+def test_project_points_chain_bounds_valid_cells_at_2_to_the_29(cx, pixel_cell, cell):
+    """A valid projection must land strictly inside +-2**29 cells (after the
+    pixel_cell division); an invalid one behind the camera is not checked."""
+    pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if cell is None:
+            with pytest.raises(ValueError, match=r"calibration projects a point to pixel cell"):
+                project_points_chain(pts, AugmentationRecord.identity(), _pinhole(cx), pixel_cell)
+            return
+        got = project_points_chain(pts, AugmentationRecord.identity(), _pinhole(cx), pixel_cell)
+    assert got.tolist() == [[cell, 0], [INVALID_2D, INVALID_2D]]
+
+
+def test_project_points_chain_refuses_a_projection_that_is_not_a_number():
+    """u = inf / inf at an infinite, valid depth: both overflow from 1e308 * 10."""
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=r"pixel cell \(nan, 0.0\)"):
+        project_points_chain(np.array([[10.0, 0.0, 0.0]]), AugmentationRecord.identity(),
+                             _pinhole(1e308, depth_scale=1e308))
+
+
 def test_calibration_rejects_non_orthonormal():
     with pytest.raises(ValueError, match="orthonormal"):
         Calibration(cam_projection=np.zeros((3, 4)), rect=np.eye(3) * 2.0,
