@@ -22,12 +22,13 @@ the downsample (SpconvWeights, the 27-offset ConvWeights). Every site lookup
 belongs to SparseVoxelTensor, which caches both maps per site set (and h2d).
 Per offset, every pair map is injective in both directions, so no scatter
 needs np.add.at: the forward moves each output row whole, as one void item,
-so a column slice can be the output, and the backward accumulates with fancy
-indexing. The centre tap of both submanifold maps is one shared arange on
-both sides; the step runs it on X directly, without index arrays, in its
-place in offset order. Within a cell, rows go in rank passes: the k-th
-members of all cells form pass k, where no cell repeats, so pooling, its
-winners and the cell sums are one fancy-index update per pass, in row order.
+so a column slice can be the output, and the backward gathers with take and
+accumulates with fancy indexing. The centre tap of both submanifold maps is
+one shared arange on both sides; the step runs it on X directly, without
+index arrays, in its place in offset order. Within a cell, rows go in rank
+passes: the k-th members of all cells form pass k, where no cell repeats, so
+pooling, its winners and the cell sums are one fancy-index update per pass,
+in row order.
 
 Backward passes are exact: pass a Ctx to a forward call, then call the
 matching *_backward with the upstream gradient. Weight gradients accumulate
@@ -37,7 +38,8 @@ plus pre > 0 as packed bits (all ActivationSpec.deriv reads) and, in the 2D
 branch, an unsigned (M, C_in) rank: the pass whose member won each pooled
 max. No Ctx keeps the pooled features; the 2D backward pools them again.
 A Ctx serves one backward, which empties it, so the tape shrinks as the
-backward runs; a second backward on it raises RuntimeError.
+backward runs; a second backward on it raises RuntimeError. nrconv_backward's
+image half routes into the 3D half's (N, C_in) gradient after the 3D half runs.
 """
 
 from dataclasses import dataclass, field
@@ -246,6 +248,7 @@ def _pair_conv_backward(saved: dict, grad_out: np.ndarray) -> np.ndarray:
     X, conv = saved["X"], saved["conv"]
     positive = np.unpackbits(saved["positive"], count=grad_out.size).reshape(grad_out.shape)
     gpre = grad_out * saved["act"].deriv(positive)
+    del positive
     conv.g_bias += gpre.sum(axis=0)
     gX = np.zeros_like(X)
     for k, (out_rows, in_rows) in enumerate(saved["pairs"]):
@@ -254,8 +257,8 @@ def _pair_conv_backward(saved: dict, grad_out: np.ndarray) -> np.ndarray:
             for lo, hi in _spans(len(X)):
                 gX[lo:hi] += gpre[lo:hi] @ conv.w[k].T
         elif len(out_rows):
-            g = gpre[out_rows]
-            conv.g_w[k] += X[in_rows].T @ g
+            g = gpre.take(out_rows, axis=0)
+            conv.g_w[k] += X.take(in_rows, axis=0).T @ g
             for lo, hi in _spans(len(g)):
                 gX[in_rows[lo:hi]] += g[lo:hi] @ conv.w[k].T
             del g
@@ -330,7 +333,9 @@ def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
     return out
 
 
-def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
+def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray, deferred: bool = False):
+    """The X gradient; given deferred, route(gX) instead, which adds it into
+    an (N, C_in) gX in place with the bits of gX += (the X gradient)."""
     d = ctx.require("conv2d_branch")
     conv, act, X, rank = d["conv"], d["act"], d["tensor"].features, d["rank"]
     valid, first, passes = d["valid"], d["first"], d["passes"]
@@ -343,12 +348,18 @@ def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
                                    _cell_sum(grad_out, first, passes))
 
     # Route pooled gradients, pass by pass, to the member whose pass the
-    # rank names per (cell, channel); each row is in one pass, once.
-    gX = np.zeros_like(X)
-    gX[first] += np.where(rank == 0, g_pooled, 0.0)
-    for p, (rows, cells) in enumerate(passes, 1):
-        gX[rows] += np.where(rank[cells] == p, g_pooled[cells], 0.0)
-    return gX
+    # rank names per (cell, channel); each row is in one pass, once. No routed
+    # value is -0.0 (g_pooled starts from zeros), so only invalid rows need
+    # += 0.0 to turn a -0.0 in gX into 0.0, as adding a dense gradient would.
+    def route(gX):
+        gX[~valid] += 0.0
+        for p, (rows, cells) in enumerate([(first, np.arange(len(first))), *passes]):
+            for lo, hi in _spans(len(rows)):
+                c = cells[lo:hi]
+                gX[rows[lo:hi]] += np.where(rank.take(c, axis=0) == p,
+                                            g_pooled.take(c, axis=0), 0.0)
+        return gX
+    return route if deferred else route(np.zeros_like(X))
 
 
 def nrconv(tensor: SparseVoxelTensor, h2d: np.ndarray, weights: KernelWeights,
@@ -371,10 +382,8 @@ def nrconv(tensor: SparseVoxelTensor, h2d: np.ndarray, weights: KernelWeights,
 def nrconv_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     d = ctx.require("nrconv")
     ch = d["c_half"]
-    g2 = conv2d_branch_backward(d.pop("ctx2"), grad_out[:, ch:])
-    g3 = submanifold_conv3d_backward(d["ctx3"], grad_out[:, :ch])
-    g3 += g2
-    return g3
+    route2 = conv2d_branch_backward(d.pop("ctx2"), grad_out[:, ch:], deferred=True)
+    return route2(submanifold_conv3d_backward(d["ctx3"], grad_out[:, :ch]))
 
 
 def spconv_downsample(tensor: SparseVoxelTensor, weights: SpconvWeights,

@@ -187,6 +187,59 @@ def test_nrconv_writes_both_halves_into_one_output(act, rows, c_out):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_nrconv_backward_keeps_the_signed_zeros_of_the_summed_halves():
+    """With an all -0.0 upstream gradient, positive weights and invalid
+    projections, nrconv_backward gives the bytes, sign bits included, of the
+    3D half's backward plus the 2D half's. The 2D half's deferred routing adds
+    into a given gX as gX += its gradient would, -0.0 rows included."""
+    rng = SeededRng(29)
+    t = random_tensor(rng, c=3)
+    h2d = random_h2d(rng, t.n, invalid_frac=0.3)
+    kw = KernelWeights.initialize(3, 4, rng)
+    for _, arr, _ in kw.params():
+        arr[...] = np.abs(arr) + 0.1
+    grad = np.full((t.n, kw.c_out), -0.0)
+    ch = kw.c_half
+    ctx, ctx3, ctx2, ctx_route = Ctx(), Ctx(), Ctx(), Ctx()
+    nrconv(t, h2d, kw, RELU, ctx)
+    submanifold_conv3d(t, kw, RELU, ctx3)
+    conv2d_branch(t, h2d, kw, RELU, ctx2)
+    conv2d_branch(t, h2d, kw, RELU, ctx_route)
+    got = nrconv_backward(ctx, grad)
+    dense2 = conv2d_branch_backward(ctx2, grad[:, ch:])
+    want = submanifold_conv3d_backward(ctx3, grad[:, :ch]) + dense2
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    gX = np.full(t.features.shape, -0.0)
+    want = gX + dense2
+    assert (h2d == INVALID_2D).any() and np.signbit(gX).all() and not np.signbit(want).any()
+    routed = conv2d_branch_backward(ctx_route, grad[:, ch:], deferred=True)(gX)
+    assert routed is gX and gX.tobytes() == want.tobytes()
+
+
+def test_nrconv_backward_calls_each_half_backward_once_in_sequence(rng, monkeypatch):
+    """perfbench's tracer wraps conv2d_branch_backward and
+    submanifold_conv3d_backward by module attribute and expects one span of
+    each per layer: nrconv_backward calls the 2D one, then the 3D one, each
+    once and neither inside the other."""
+    events = []
+    for name in ("conv2d_branch_backward", "submanifold_conv3d_backward"):
+        def recorder(*args, _fn=getattr(vconv, name), _name=name, **kwargs):
+            events.append(("enter", _name))
+            out = _fn(*args, **kwargs)
+            events.append(("exit", _name))
+            return out
+        monkeypatch.setattr(vconv, name, recorder)
+    t = random_tensor(rng, c=3)
+    h2d = random_h2d(rng, t.n)
+    ctx = Ctx()
+    grad = np.ones_like(nrconv(t, h2d, KernelWeights.initialize(3, 4, rng), RELU, ctx).features)
+    assert nrconv_backward(ctx, grad).shape == t.features.shape
+    assert events == [(edge, name)
+                      for name in ("conv2d_branch_backward", "submanifold_conv3d_backward")
+                      for edge in ("enter", "exit")]
+
+
 def test_spconv_matches_dense_reference():
     for seed in range(8):
         rng = SeededRng(seed)
@@ -402,13 +455,14 @@ def test_nrconv_with_and_without_a_ctx_returns_the_same_bytes():
     assert plain.tobytes() == taped.tobytes()
 
 
-# One nrconv forward plus backward needs about 40 bytes per input feature
+# One nrconv forward plus backward needs about 36 bytes per input feature
 # value here (N = 2,048 rows, M = 1,382 cells, C_in = C_out = 64): the output
-# and the 2D input gradient (8 each), the 3D backward's gradient, gpre and
-# per-offset gathers (about 22), and the tape's masks and uint8 rank (about
-# 1.5). A pooled float64 copy on the tape (M * C_in * 8, 5.4 more) or an
-# int64 winners array breaks the budget.
-NRCONV_BYTES_PER_FEATURE_VALUE = 42
+# (8), the 2D half's (M, C_in) cell gradient (5.4), the 3D backward's
+# gradient, gpre and per-offset gathers (about 22), and the tape's masks and
+# uint8 rank (about 1.5). A dense (N, C_in) 2D input gradient beside the 3D
+# one (8 more), a pooled float64 copy on the tape (5.4 more) or an int64
+# winners array breaks the budget.
+NRCONV_BYTES_PER_FEATURE_VALUE = 37
 
 
 def test_nrconv_forward_and_backward_peak_memory_stays_within_budget():
