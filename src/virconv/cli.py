@@ -34,6 +34,7 @@ from .stvd import MODE_ALL, MODE_VIRTUAL_ONLY, StvdConfig, bin_histogram, input_
 from .checkpoint import load_weights
 
 CSV_SCHEMA_VERSION = 1
+GRADCHECK_MAX_SIZE = 32   # gradcheck --size: a size**3 grid, 30% occupied
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -146,10 +147,10 @@ def cmd_gradcheck(args) -> int:
     size = args.size
     extent = (max(size, 1), max(size, 1), max(size, 1))
     spec = VoxelGridSpec(origin=(0, 0, 0), voxel_size=(0.1, 0.1, 0.1), extent=extent)
-    total = extent[0] * extent[1] * extent[2]
-    n = max(1, int(0.3 * total))
-    idx = np.stack(np.unravel_index(rng.gen.choice(total, size=n, replace=False), extent),
-                   axis=1)
+    if not 1 <= size <= GRADCHECK_MAX_SIZE:
+        raise ValueError(f"--size {size} must lie in 1..{GRADCHECK_MAX_SIZE}")
+    n = max(1, int(0.3 * size ** 3))
+    idx = np.stack(np.unravel_index(rng.gen.choice(size ** 3, size=n, replace=False), extent), 1)
     c_in, c_out = 3, 4
     feats = rng.gen.normal(size=(n, c_in))
     tensor = SparseVoxelTensor(idx, feats, spec)

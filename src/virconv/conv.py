@@ -34,9 +34,8 @@ Backward passes are exact: pass a Ctx to a forward call, then call the
 matching *_backward with the upstream gradient. Weight gradients accumulate
 into the weights' grad buffers; the input-feature gradient is returned. All
 math is float64. A Ctx keeps the forward's features and maps by reference,
-plus pre > 0 as packed bits (all ActivationSpec.deriv reads) and, in the 2D
-branch, an unsigned (M, C_in) rank: the pass whose member won each pooled
-max. No Ctx keeps the pooled features; the 2D backward pools them again.
+plus pre > 0 as packed bits (all ActivationSpec.deriv reads). No Ctx keeps
+the pooled features or their winners; the 2D backward pools them again.
 A Ctx serves one backward, which empties it, so the tape shrinks as the
 backward runs; a second backward on it raises RuntimeError. nrconv_backward's
 image half routes into the 3D half's (N, C_in) gradient after the 3D half runs.
@@ -279,20 +278,17 @@ def submanifold_conv3d_backward(ctx: Ctx, grad_out: np.ndarray) -> np.ndarray:
     return _pair_conv_backward(ctx.require("submanifold_conv3d"), grad_out)
 
 
-def _cell_max(X: np.ndarray, first, passes, ctx: Ctx = None) -> np.ndarray:
+def _cell_max(X: np.ndarray, first, passes, rank: np.ndarray = None) -> np.ndarray:
     """(M, C) per-cell channel max of the rows of X, one rank pass at a time.
-    Given a ctx, saves rank: the pass whose row last raised each max strictly
-    (0 for first), so the first max in row order wins (the tie rule)."""
+    Given a zeroed rank, fills it with the pass whose row last raised each
+    max strictly (0 for first), so the first max in row order wins (the tie rule)."""
     pooled = X.take(first, axis=0)
-    rank = None if ctx is None else np.zeros(pooled.shape, np.min_scalar_type(len(passes)))
     for p, (rows, cells) in enumerate(passes, 1):
         old, new = pooled.take(cells, axis=0), X.take(rows, axis=0)
         if rank is not None:
             won = np.where(new > old, p, rank.take(cells, axis=0))
             _row_items(rank)[cells] = _row_items(won)
         _row_items(pooled)[cells] = _row_items(np.maximum(old, new, out=old))
-    if ctx is not None:
-        ctx.save(rank=rank)
     return pooled
 
 
@@ -320,9 +316,9 @@ def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
     conv = weights.conv2d
     _check_width(tensor, conv)
     valid, first, passes, pairs = tensor.cell_map(h2d)
-    cell_out = _pair_conv(_cell_max(tensor.features, first, passes, ctx), pairs, conv,
+    cell_out = _pair_conv(_cell_max(tensor.features, first, passes), pairs, conv,
                           len(first), act, ctx)
-    if ctx is not None:   # the rank, not pooled: the backward pools the features again
+    if ctx is not None:   # not pooled: the backward pools the features again
         ctx.save(tensor=tensor, valid=valid, first=first, passes=passes, X=None)
     out = np.empty((tensor.n, width or conv.c_out))
     slots, items = _row_items(out[:, out.shape[1] - conv.c_out:]), _row_items(cell_out)
@@ -337,14 +333,15 @@ def conv2d_branch_backward(ctx: Ctx, grad_out: np.ndarray, deferred: bool = Fals
     """The X gradient; given deferred, route(gX) instead, which adds it into
     an (N, C_in) gX in place with the bits of gX += (the X gradient)."""
     d = ctx.require("conv2d_branch")
-    conv, act, X, rank = d["conv"], d["act"], d["tensor"].features, d["rank"]
+    conv, act, X = d["conv"], d["act"], d["tensor"].features
     valid, first, passes = d["valid"], d["first"], d["passes"]
 
     # Invalid-projection rows saw act(bias) only.
     conv.g_bias += (grad_out[~valid] * act.deriv(conv.bias[None, :])).sum(axis=0)
 
-    # The cell output gradient is the sum over member voxels.
-    g_pooled = _pair_conv_backward(dict(d, X=_cell_max(X, first, passes)),
+    # The cell output gradient is the sum over member voxels; the re-pool fills rank.
+    rank = np.zeros((len(first), X.shape[1]), np.min_scalar_type(len(passes)))
+    g_pooled = _pair_conv_backward(dict(d, X=_cell_max(X, first, passes, rank)),
                                    _cell_sum(grad_out, first, passes))
 
     # Route pooled gradients, pass by pass, to the member whose pass the

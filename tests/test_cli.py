@@ -10,7 +10,7 @@ import pytest
 from virconv import NetWeights, SeededRng, VirConvNetSpec
 from virconv.bench import config_hash
 from virconv.checkpoint import save_weights
-from virconv.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, main
+from virconv.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, GRADCHECK_MAX_SIZE, main
 from virconv.geometry import read_fused_bin
 from virconv.scene import SyntheticSceneSpec, generate_scene, save_scene
 from conftest import corrupt_conv3d_gradient
@@ -191,6 +191,18 @@ def test_key_overflowing_extent_is_config_error(capsys):
     code = run(["gradcheck", "--op", "conv3d", "--size", 2 ** 21])
     assert code == EXIT_CONFIG
     assert "overflows int64" in capsys.readouterr().err
+
+
+def test_gradcheck_size_outside_its_bound_is_config_error(monkeypatch, capsys):
+    """--size sizes a size**3 grid. Past GRADCHECK_MAX_SIZE, or below 1, the
+    command exits 3 with a message that names the bound, before it builds
+    the case."""
+    def no_case(*args, **kwargs):
+        raise AssertionError("gradcheck built its case")
+    monkeypatch.setattr("virconv.tensor.SparseVoxelTensor", no_case)
+    for size in (GRADCHECK_MAX_SIZE + 1, 0, -1):
+        assert run(["gradcheck", "--op", "conv3d", "--size", size]) == EXIT_CONFIG
+        assert f"must lie in 1..{GRADCHECK_MAX_SIZE}" in capsys.readouterr().err
 
 
 def test_bad_config_is_config_error(scene_dir, capsys):

@@ -433,18 +433,57 @@ def test_ctx_saves_only_the_sign_of_the_pre_activation(rng):
             assert "pre" not in ctx.data
             assert not [key for key, v in ctx.data.items() if isinstance(v, np.ndarray)
                         and v.dtype.kind in "bf" and v.shape == pre.shape]
-        # The 2D tape keeps the winners' pass ranks, not a pooled float copy.
+        # The 2D tape keeps no (M, C_in) array: no pooled copy and no winners,
+        # which the backward records as it pools again.
         pooled_shape = (len(ctx2.data["first"]), kw.c_in)
-        rank = ctx2.data["rank"]
-        assert rank.dtype.kind == "u" and rank.shape == pooled_shape
         assert not [key for key, v in ctx2.data.items() if isinstance(v, np.ndarray)
-                    and v.dtype.kind == "f" and v.shape == pooled_shape]
+                    and v.shape == pooled_shape]
+
+
+def _leaves(obj) -> list:
+    """What a tape holds: the items of its Ctx objects, dicts, lists and tuples."""
+    if isinstance(obj, Ctx):
+        obj = obj.data
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [leaf for item in obj for leaf in _leaves(item)]
+    return [obj]
+
+
+def test_a_training_blocks_tapes_hold_only_signs_beyond_inputs_maps_and_weights(rng):
+    """Two nrconv layers that share one h2d, then the downsample, each with its
+    own Ctx, as a training block runs them. Beyond the layer inputs, their
+    cached maps and the weights, the tapes hold only each half's packed signs
+    and the downsample's pair map."""
+    t = random_tensor(rng, c=4)
+    h2d = random_h2d(rng, t.n)
+    kws = [KernelWeights.initialize(4, 6, rng), KernelWeights.initialize(6, 6, rng)]
+    inputs, ctxs, out = [], [Ctx(), Ctx(), Ctx()], t
+    for kw, ctx in zip(kws, ctxs):
+        inputs.append(out)
+        out = nrconv(out, h2d, kw, RELU, ctx)
+    inputs.append(out)
+    spconv_downsample(out, SpconvWeights.initialize(6, 8, rng), RELU, ctxs[2])
+    leaves = _leaves(ctxs)
+    assert all(any(leaf is x for x in inputs) for leaf in leaves
+               if isinstance(leaf, SparseVoxelTensor))
+    assert {type(leaf) for leaf in leaves} <= {np.ndarray, SparseVoxelTensor, ConvWeights,
+                                               SpconvWeights, ActivationSpec, int, type(None)}
+    known = {id(a) for x in inputs
+             for a in _leaves([x.features, x.kernel_map(), x.cell_map(h2d)])}
+    held = {id(a) for a in leaves if isinstance(a, np.ndarray) and id(a) not in known}
+    signs = [c.data["positive"] for ctx in ctxs[:2] for c in (ctx.data["ctx3"], ctx.data["ctx2"])]
+    signs.append(ctxs[2].data["positive"])
+    assert all(s.dtype == np.uint8 and s.ndim == 1 for s in signs)
+    assert held == {id(a) for a in signs + _leaves(ctxs[2].data["pairs"])}
 
 
 def test_nrconv_with_and_without_a_ctx_returns_the_same_bytes():
-    """The training forward records the pool winners as it pools; it must
-    pool exactly as inference does. Features of a few values (signed zeros
-    included) tie often, and about four rows share each cell."""
+    """With or without a Ctx, nrconv pools through one _cell_max call, whose
+    maxima the backward's re-pool takes as the forward's. Features of a few
+    values (signed zeros included) tie often, and about four rows share each
+    cell."""
     rng = SeededRng(11)
     t = random_tensor(rng, c=4)
     t = t.with_features(rng.gen.choice([-1.0, -0.0, 0.0, 1.0], size=t.features.shape))
@@ -458,10 +497,10 @@ def test_nrconv_with_and_without_a_ctx_returns_the_same_bytes():
 # One nrconv forward plus backward needs about 36 bytes per input feature
 # value here (N = 2,048 rows, M = 1,382 cells, C_in = C_out = 64): the output
 # (8), the 2D half's (M, C_in) cell gradient (5.4), the 3D backward's
-# gradient, gpre and per-offset gathers (about 22), and the tape's masks and
-# uint8 rank (about 1.5). A dense (N, C_in) 2D input gradient beside the 3D
-# one (8 more), a pooled float64 copy on the tape (5.4 more) or an int64
-# winners array breaks the budget.
+# gradient, gpre and per-offset gathers (about 22), the backward's uint8
+# winner rank (0.7) and the tape's packed signs (0.1). A dense (N, C_in) 2D
+# input gradient beside the 3D one (8 more), a pooled float64 copy on the tape
+# (5.4 more) or an int64 winners array breaks the budget.
 NRCONV_BYTES_PER_FEATURE_VALUE = 37
 
 

@@ -37,7 +37,7 @@ def unused_imports(source: str) -> list:
 
 
 def test_no_unused_imports():
-    files = [p for d in ("src", "tests", "demos") for p in sorted((ROOT / d).rglob("*.py"))
+    files = [p for d in ("src", "tests", "demos", "tools") for p in sorted((ROOT / d).rglob("*.py"))
              if p.name != "__init__.py"]
     assert len(files) > 20
     found = [f"{p.relative_to(ROOT)}:{line}: {name}"

@@ -216,12 +216,10 @@ def test_rank_passes_match_segment_reductions_bit_for_bit(case, all_invalid, see
         assert np.all(rows > first[cells])
     want_first, pooled, winners, sums = segment_reference(X, G, h2d)
     assert_same_bits(first, want_first)
-    ctx = Ctx()
-    assert_same_bits(_cell_max(X, first, passes, ctx), pooled)
+    rank = np.zeros(pooled.shape, np.min_scalar_type(len(passes)))
+    assert_same_bits(_cell_max(X, first, passes, rank), pooled)
     assert_same_bits(_cell_max(X, first, passes), pooled)
-    # The recorded rank names the pass of each max's winner; look its row up.
-    rank = ctx.data["rank"]
-    assert rank.dtype.kind == "u" and rank.shape == pooled.shape
+    # The filled rank names the pass of each max's winner; look its row up.
     pass_rows = np.full((len(passes) + 1, len(first)), -1, np.int64)
     pass_rows[0] = first
     for p, (rows, cells) in enumerate(passes, 1):
