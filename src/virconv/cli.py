@@ -291,8 +291,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, FormatError,
-            json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, FormatError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, RuntimeError) as e:

@@ -19,7 +19,8 @@ Each op supplies its map: tensor.kernel_map() for the 3D branch
 (KernelWeights.conv3d), the cell pairs of tensor.cell_map(h2d) for the 2D
 branch (KernelWeights.conv2d), and tensor.pairs_at(2 * out, OFFSETS_3D) for
 the downsample (SpconvWeights, the 27-offset ConvWeights). Every site lookup
-belongs to SparseVoxelTensor, which caches both maps per site set (and h2d).
+belongs to SparseVoxelTensor, which caches both maps per site set (and h2d
+array, frozen and keyed by identity).
 Per offset, every pair map is injective in both directions, so no scatter
 needs np.add.at: the forward moves each output row whole, as one void item,
 so a column slice can be the output, and the backward gathers with take and
@@ -309,7 +310,7 @@ def conv2d_branch(tensor: SparseVoxelTensor, h2d: np.ndarray,
     Returns an (N, C_half) feature matrix aligned with the input rows; given
     width, an (N, width) one, allocated after the pooled cells are freed, with
     the branch in its last C_half columns. Voxels with an invalid projection
-    receive the empty-neighborhood result act(bias).
+    receive the empty-neighborhood result act(bias). An int64 h2d is frozen.
     """
     if len(h2d) != tensor.n:
         raise ValueError(f"h2d has {len(h2d)} rows for {tensor.n} voxels")
@@ -367,7 +368,7 @@ def nrconv(tensor: SparseVoxelTensor, h2d: np.ndarray, weights: KernelWeights,
     output once its pooled cells are freed and scatters its rows into the right
     columns; the 3D branch then fills the left columns in place. A ctx keeps
     one Ctx per branch, each with its packed signs. Output sites equal input
-    sites; flags carry through.
+    sites; flags carry through. An int64 h2d is frozen, as by conv2d_branch.
     """
     ctx3, ctx2 = (Ctx(), Ctx()) if ctx is not None else (None, None)
     out = conv2d_branch(tensor, h2d, weights, act, ctx2, weights.c_out)

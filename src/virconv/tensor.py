@@ -262,7 +262,7 @@ class SparseVoxelTensor:
             self.origin_flags = origin_flags.astype(np.int8, copy=False)
             self.origin_flags.setflags(write=False)
         self._kernel_map = None
-        self._cell_map = None   # (read-only copy of h2d, cell map)
+        self._cell_map = None   # (frozen h2d, cell map)
         if _validate:
             _, order, starts = _group(_padded_keys(indices, spec.extent), spec.extent)
             if len(starts) < self.n:   # the first row of the first repeated key
@@ -378,13 +378,13 @@ class SparseVoxelTensor:
         with more than k rows. pairs holds, per OFFSETS_2D entry, the (output
         cell, input cell) pairs over occupied cells, from _self_pairs on the
         cells as the sites of a one-voxel-thick grid. The read-only result is
-        cached with a private copy of h2d, and reused while h2d still equals
-        that copy.
+        cached with the int64 h2d itself, frozen and keyed by identity (a copy
+        or a converted non-int64 h2d builds it again; a view is frozen, but
+        not its base, as with features).
         """
         h2d = np.asarray(h2d, dtype=np.int64)
-        cached = self._cell_map
-        if cached is not None and np.array_equal(cached[0], h2d):
-            return cached[1]
+        if self._cell_map is not None and self._cell_map[0] is h2d:
+            return self._cell_map[1]
         valid = h2d[:, 0] != INVALID_2D
         rows = np.flatnonzero(valid)
         flat = np.zeros((len(rows), 3), np.int64)
@@ -404,7 +404,6 @@ class SparseVoxelTensor:
             passes.append((order[starts[cells] + k], cells))
         pairs = grid._self_pairs(np.pad(OFFSETS_2D, ((0, 0), (0, 1))))
         first = order[starts]
-        h2d = h2d.copy()
         for a in (h2d, valid, first, *(arr for pair in passes for arr in pair)):
             a.setflags(write=False)
         self._cell_map = (h2d, (valid, first, passes, pairs))

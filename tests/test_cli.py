@@ -163,6 +163,33 @@ def test_missing_file_is_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    lambda s, f, t: ["forward", "--lidar", s / "lidar.bin", "--calib", s / "calib.txt",
+                     "--dump-dir", f],
+    lambda s, f, t: ["forward", "--lidar", s / "lidar.bin", "--calib", s / "calib.txt",
+                     "--out", f / "o.json"],
+    lambda s, f, t: ["forward", "--lidar", f / "x.bin", "--calib", s / "calib.txt"],
+    lambda s, f, t: ["synth", "--out", f],
+    lambda s, f, t: ["stvd-stats", "--scene", f],
+    lambda s, f, t: ["forward", "--lidar", s / "lidar.bin", "--calib", s / "lidar.bin"],
+    lambda s, f, t: ["synth", "--spec", t / "spec.json", "--out", t / "out"],
+    lambda s, f, t: ["stvd-stats", "--scene", t / "scene"]],
+    ids=["dump-dir-is-a-file", "out-under-a-file", "lidar-under-a-file", "synth-out-is-a-file",
+         "scene-is-a-file", "calib-not-utf8", "spec-not-utf8", "meta-not-utf8"])
+def test_os_and_decode_errors_on_a_path_are_parse_errors(scene_dir, tmp_path, capsys, argv):
+    """A path that cannot be opened, made or decoded as UTF-8 exits 2 with
+    one error line, not a traceback."""
+    f = tmp_path / "file"
+    f.write_bytes(b"x")
+    (tmp_path / "spec.json").write_bytes(b"\xff\xfe")
+    shutil.copytree(scene_dir, tmp_path / "scene")
+    (tmp_path / "scene" / "meta.json").write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    assert run(argv(scene_dir, f, tmp_path)) == EXIT_PARSE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+
+
 def test_truncated_input_is_parse_error(tmp_path, scene_dir, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\x00" * 10)

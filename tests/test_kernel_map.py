@@ -203,7 +203,8 @@ def test_kernel_map_mirrors_the_searched_half_on_any_row_order(case, order):
 def test_map_builds_search_once_per_dx_dy_column(rng, monkeypatch):
     """One searchsorted per (dx, dy) column: the kernel map searches its 5
     half columns, the cell map its 4 half offsets and the downsample map all
-    9 columns; a cached map searches nothing."""
+    9 columns; a cached map searches nothing. The cell map is keyed by its h2d
+    array, so the same array reuses it and an equal copy builds it again."""
     searches = []
     locate = SparseVoxelTensor._locate
     monkeypatch.setattr(SparseVoxelTensor, "_locate",
@@ -218,8 +219,11 @@ def test_map_builds_search_once_per_dx_dy_column(rng, monkeypatch):
     assert searches == [len(first)] * 4
     searches.clear()
     t.kernel_map()
-    t.with_features(np.zeros((t.n, 1))).cell_map(h2d.copy())
+    t.with_features(np.zeros((t.n, 1))).cell_map(h2d)
     assert searches == []
+    t.cell_map(h2d.copy())
+    assert searches == [len(first)] * 4
+    searches.clear()
     out = spconv_downsample(t, SpconvWeights.initialize(t.width, 2, rng))
     assert searches == [out.n] * 9
 
@@ -277,13 +281,13 @@ def test_nrconv_chain_groups_cells_once(rng):
     h2d = random_h2d(rng, t.n)
     ctxs = [Ctx(), Ctx()]
     mid = nrconv(t, h2d, KernelWeights.initialize(4, 4, rng), RELU, ctxs[0])
-    out = nrconv(mid, h2d.copy(), KernelWeights.initialize(4, 4, rng), RELU, ctxs[1])
+    out = nrconv(mid, h2d, KernelWeights.initialize(4, 4, rng), RELU, ctxs[1])
     first, second = (ctx.data["ctx2"].data for ctx in ctxs)   # before the backward empties them
     nrconv_backward(ctxs[0], nrconv_backward(ctxs[1], np.ones((t.n, 4))))
     for key in ("valid", "first", "passes", "pairs"):
         assert second[key] is first[key]
     assert mid._cell_map is t._cell_map and out._cell_map is t._cell_map
-    assert not np.shares_memory(t._cell_map[0], h2d)
+    assert t._cell_map[0] is h2d and not h2d.flags.writeable
     with pytest.raises(ValueError):
         first["first"][0] = 0
 
@@ -308,12 +312,30 @@ def test_cell_map_follows_h2d_changes(rng):
 
     h2d = random_h2d(rng, t.n, span=3)
     before = check(h2d)
-    h2d[::2] = h2d[::2][::-1].copy()             # same array, new cells
-    h2d[1] = INVALID_2D
-    assert not np.array_equal(check(h2d), before)
+    with pytest.raises(ValueError):               # the cached array is frozen
+        h2d[1] = INVALID_2D
+    assert t._cell_map[0] is h2d
+    moved = h2d.copy()                            # a writable copy, new cells
+    moved[::2] = moved[::2][::-1].copy()
+    moved[1] = INVALID_2D
+    assert not np.array_equal(check(moved), before)
     other = random_h2d(rng, t.n, span=4)          # another array on the same tensor
     assert not np.array_equal(check(other), before)
-    check(h2d)
+    assert check(h2d).tobytes() == before.tobytes()
+
+
+def test_cell_map_freezes_only_a_converted_copy_of_an_int32_h2d(rng):
+    """An int32 h2d gives the int64 result bit for bit; the map keeps and
+    freezes the converted int64 array, so the caller's stays writable."""
+    t = random_tensor(rng, c=3)
+    kw = KernelWeights.initialize(3, 4, rng)
+    h2d = random_h2d(rng, t.n, invalid_frac=0.0)   # INVALID_2D does not fit int32
+    small = h2d.astype(np.int32)
+    got = conv2d_branch(t, small, kw)
+    assert got.tobytes() == conv2d_branch(t.take_rows(np.arange(t.n)), h2d, kw).tobytes()
+    cached = t._cell_map[0]
+    assert cached.dtype == np.int64 and not cached.flags.writeable
+    assert small.flags.writeable
 
 
 def test_take_rows_and_downsample_start_without_a_cell_map(rng):

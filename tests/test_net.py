@@ -19,6 +19,7 @@ from virconv import (
     fuse_early,
     virconvnet_forward,
 )
+from virconv import net as vnet
 from virconv.scene import SyntheticSceneSpec, generate_scene, synthetic_calibration
 
 GRID = VoxelGridSpec(origin=(0.0, -20.0, -3.0), voxel_size=(0.2, 0.2, 0.2),
@@ -79,9 +80,16 @@ def test_forward_deterministic_and_collects_stage_times():
 @pytest.mark.parametrize("training", [False, True])
 def test_no_lookup_map_built_in_the_forward_outlives_it(monkeypatch, training):
     """The returned levels carry no lookup caches: every sorted-key array,
-    kernel map and cell map built inside virconvnet_forward is freed once it
-    returns, while the levels are still held."""
-    refs = []
+    kernel map and cell map built inside virconvnet_forward, and every block's
+    h2d, which its cell map keeps, is freed once it returns, while the levels
+    are still held."""
+    refs, h2d_refs = [], []
+    project = vnet.project_voxels
+
+    def projecting(*args, **kwargs):
+        h2d = project(*args, **kwargs)
+        h2d_refs.append(weakref.ref(h2d))
+        return h2d
 
     def recording(build):
         def method(self, *args):
@@ -95,11 +103,13 @@ def test_no_lookup_map_built_in_the_forward_outlives_it(monkeypatch, training):
     for name in ("sorted_keys", "kernel_map", "cell_map"):
         monkeypatch.setattr(SparseVoxelTensor, name,
                             recording(getattr(SparseVoxelTensor, name)))
+    monkeypatch.setattr(vnet, "project_voxels", projecting)
     levels = forward(small_scene(), training=training)
     gc.collect()
     assert len(levels) == 4 and all(t.n for t in levels)
     assert len(refs) >= 12   # maps on all four blocks' sites, and more
-    assert [r for r in refs if r() is not None] == []
+    assert len(h2d_refs) == 4
+    assert [r for r in refs + h2d_refs if r() is not None] == []
 
 
 def test_layer_discard_only_during_training():
