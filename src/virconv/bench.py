@@ -10,7 +10,7 @@ discard and is the speedup baseline by definition.
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .geometry import AugmentationRecord, default_grid_spec, voxelize
 from .net import NetWeights, VirConvNetSpec, fuse_early, virconvnet_forward
 from .rng import SeededRng
 from .scene import load_scene, load_scene_calib
-from .stvd import StvdConfig, discard_bins, input_stvd
+from .stvd import StvdConfig, discard_bins
 
 
 def config_hash(cfg: dict) -> str:
@@ -64,7 +64,7 @@ def nearby_discardable_counts(tensor, cfg: StvdConfig) -> list:
     """Population per nearby bin of voxels subject to discard."""
     bins = discard_bins(tensor, cfg)
     hist = np.bincount(bins[bins >= 0], minlength=cfg.num_bins)
-    return [int(hist[b]) for b in range(cfg.num_bins) if cfg.is_nearby_bin(b)]
+    return hist[cfg.is_nearby_bin(np.arange(cfg.num_bins))].tolist()
 
 
 def run_sweep(scene_dir, rates, repeats: int, seed: int) -> list:
@@ -83,40 +83,22 @@ def run_sweep(scene_dir, rates, repeats: int, seed: int) -> list:
     weights = NetWeights.initialize(spec, SeededRng(seed))
     base_tensor = voxelize(cloud, grid)
     nearby = nearby_discardable_counts(base_tensor, base_cfg)
-    chash = config_hash(
-        {
-            "rates": list(rates),
-            "repeats": repeats,
-            "seed": seed,
-            "stvd": {
-                "num_bins": base_cfg.num_bins,
-                "nearby_limit": base_cfg.nearby_limit,
-                "bin_range": base_cfg.bin_range,
-                "mode": base_cfg.mode,
-            },
-        }
-    )
+    # Every StvdConfig field but the budget, which each rate solves for.
+    stvd = {k: v for k, v in asdict(base_cfg).items() if k != "keep_per_nearby_bin"}
+    chash = config_hash({"rates": list(rates), "repeats": repeats, "seed": seed, "stvd": stvd})
 
     reports = []
     for rate in rates:
-        if rate == 0.0:
-            cfg = base_cfg
-            use_stvd = False
-            keep = 0
-        else:
-            keep = solve_keep_per_bin(nearby, rate)
-            cfg = replace(base_cfg, keep_per_nearby_bin=keep)
-            use_stvd = True
-
-        after = input_stvd(base_tensor, cfg, SeededRng(seed)).n if use_stvd else base_tensor.n
+        keep = solve_keep_per_bin(nearby, rate) if rate else 0
+        cfg = replace(base_cfg, keep_per_nearby_bin=keep) if keep else base_cfg
         times = []
         stage_runs = {}
         for rep in range(repeats + 1):  # first run is warm-up
             stages = {}
             t0 = time.perf_counter()
-            virconvnet_forward(
+            levels = virconvnet_forward(
                 cloud, spec, cfg, calib, record, weights, SeededRng(seed),
-                training=False, grid=grid, apply_input_stvd=use_stvd,
+                training=False, grid=grid, apply_input_stvd=rate > 0,
                 stage_times=stages,
             )
             elapsed = (time.perf_counter() - t0) * 1e3
@@ -131,7 +113,8 @@ def run_sweep(scene_dir, rates, repeats: int, seed: int) -> list:
                 rate=rate,
                 keep_per_bin=keep,
                 voxels_before=base_tensor.n,
-                voxels_after=after,
+                # Block 1 keeps its input sites in inference: the kept voxels.
+                voxels_after=levels[0].n,
                 stage_ms={k: float(np.median(v)) for k, v in stage_runs.items()},
                 time_ms_median=float(np.median(times)),
                 config_hash=chash,

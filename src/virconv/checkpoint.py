@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .geometry import FormatError
+from .geometry import FormatError, read_text
 from .net import NetWeights, VirConvNetSpec
 from .rng import SeededRng
 
@@ -50,8 +50,7 @@ def load_weights(path, spec: VirConvNetSpec) -> NetWeights:
     each parameter of `spec` exactly once, with its shape.
     """
     weights = NetWeights.initialize(spec, SeededRng(0))
-    with open(str(path) + ".json") as f:
-        manifest = json.load(f)
+    manifest = read_text(f"{path}.json", json.loads)
     if not (isinstance(manifest, dict) and _is_int(manifest.get("version"))
             and isinstance(manifest.get("params"), list)):
         raise FormatError(f"{path}.json: manifest must be an object with "

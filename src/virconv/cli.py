@@ -21,6 +21,7 @@ from .geometry import (
     FormatError,
     default_grid_spec,
     parse_kitti_calib,
+    read_text,
     read_velodyne_bin,
     read_virtual_bin,
     voxelize,
@@ -172,8 +173,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.spec:
-        with open(args.spec) as f:
-            spec = parse_scene_spec(json.load(f))
+        spec = parse_scene_spec(read_text(args.spec, json.loads))
     else:
         spec = SyntheticSceneSpec()
     scene = generate_scene(spec, SeededRng(args.seed))
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError, FormatError, json.JSONDecodeError) as e:
+    except (OSError, FormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, RuntimeError) as e:

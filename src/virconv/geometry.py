@@ -31,6 +31,16 @@ class FormatError(ValueError):
     """A file failed to parse (malformed bytes, missing keys)."""
 
 
+def read_text(path, parse=str):
+    """parse(text) of the UTF-8 file at path, e.g. json.loads; a FormatError
+    naming the path when the bytes are not UTF-8 or parse raises ValueError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse(f.read())
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
 @dataclass
 class SparsePointCloud:
     """Fused point cloud; points is (N, 5) finite float64 [x, y, z, alpha, beta]."""
@@ -286,15 +296,13 @@ def parse_kitti_calib(path) -> Calibration:
     hold its count of finite numbers; other keys are not read.
     """
     values, required = {}, {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or ":" not in line:
-                continue
-            key, _, rest = (part.strip() for part in line.partition(":"))
-            if key in values and key in required:
-                raise FormatError(f"{path}: calibration key {key} is repeated")
-            values[key] = rest.split()
+    for line in read_text(path).split("\n"):
+        if ":" not in line:
+            continue
+        key, _, rest = (part.strip() for part in line.partition(":"))
+        if key in values and key in required:
+            raise FormatError(f"{path}: calibration key {key} is repeated")
+        values[key] = rest.split()
     for key, count in required.items():
         if key not in values:
             raise FormatError(f"{path}: missing calibration key {key}")

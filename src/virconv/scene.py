@@ -21,6 +21,7 @@ from .geometry import (
     FormatError,
     SparsePointCloud,
     parse_kitti_calib,
+    read_text,
     read_velodyne_bin,
     read_virtual_bin,
     write_kitti_calib,
@@ -354,8 +355,7 @@ def _fits(value, default) -> bool:
 
 
 def _json_object(scene_dir, name) -> dict:
-    with open(os.path.join(scene_dir, name)) as f:
-        doc = json.load(f)
+    doc = read_text(os.path.join(scene_dir, name), json.loads)
     if not isinstance(doc, dict):
         raise FormatError(f"{scene_dir}: {name} must be a JSON object, "
                           f"got {type(doc).__name__}")

@@ -39,7 +39,7 @@ class StvdConfig:
     mode: str = MODE_VIRTUAL_ONLY
 
     def __post_init__(self):
-        if not 1 <= self.num_bins <= MAX_NUM_BINS:   # one pass and one count per bin
+        if not 1 <= self.num_bins <= MAX_NUM_BINS:   # one pass per nearby bin, one count per bin
             raise ValueError(f"num_bins must lie in [1, {MAX_NUM_BINS}], got {self.num_bins}")
         if self.keep_per_nearby_bin < 1:
             raise ValueError("keep_per_nearby_bin must be >= 1")
@@ -95,13 +95,9 @@ def input_stvd(tensor: SparseVoxelTensor, cfg: StvdConfig, rng: SeededRng) -> Sp
     bins are kept whole. Exempt voxels bypass the discard entirely and do not
     count against bin budgets.
     """
-    if tensor.n == 0:
-        return tensor
     bins = discard_bins(tensor, cfg)
     keep = np.ones(tensor.n, dtype=bool)
-    for b in range(cfg.num_bins):
-        if not cfg.is_nearby_bin(b):
-            continue
+    for b in np.flatnonzero(cfg.is_nearby_bin(np.arange(cfg.num_bins))):
         members = np.flatnonzero(bins == b)
         if len(members) <= cfg.keep_per_nearby_bin:
             continue

@@ -3,16 +3,17 @@
 import json
 import shutil
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from virconv import NetWeights, SeededRng, VirConvNetSpec
+from virconv import NetWeights, SeededRng, StvdConfig, VirConvNetSpec, fuse_early, input_stvd
 from virconv.bench import config_hash
 from virconv.checkpoint import save_weights
 from virconv.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, GRADCHECK_MAX_SIZE, main
-from virconv.geometry import read_fused_bin
-from virconv.scene import SyntheticSceneSpec, generate_scene, save_scene
+from virconv.geometry import default_grid_spec, read_fused_bin, voxelize
+from virconv.scene import SyntheticSceneSpec, generate_scene, load_scene, save_scene
 from conftest import corrupt_conv3d_gradient
 
 
@@ -163,31 +164,45 @@ def test_missing_file_is_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    lambda s, f, t: ["forward", "--lidar", s / "lidar.bin", "--calib", s / "calib.txt",
-                     "--dump-dir", f],
-    lambda s, f, t: ["forward", "--lidar", s / "lidar.bin", "--calib", s / "calib.txt",
-                     "--out", f / "o.json"],
-    lambda s, f, t: ["forward", "--lidar", f / "x.bin", "--calib", s / "calib.txt"],
-    lambda s, f, t: ["synth", "--out", f],
-    lambda s, f, t: ["stvd-stats", "--scene", f],
-    lambda s, f, t: ["forward", "--lidar", s / "lidar.bin", "--calib", s / "lidar.bin"],
-    lambda s, f, t: ["synth", "--spec", t / "spec.json", "--out", t / "out"],
-    lambda s, f, t: ["stvd-stats", "--scene", t / "scene"]],
+@pytest.mark.parametrize("case", [
+    lambda s, f, t: (["forward", "--lidar", s / "lidar.bin", "--calib", s / "calib.txt",
+                      "--dump-dir", f], f),
+    lambda s, f, t: (["forward", "--lidar", s / "lidar.bin", "--calib", s / "calib.txt",
+                      "--out", f / "o.json"], f / "o.json"),
+    lambda s, f, t: (["forward", "--lidar", f / "x.bin", "--calib", s / "calib.txt"], f / "x.bin"),
+    lambda s, f, t: (["synth", "--out", f], f),
+    lambda s, f, t: (["stvd-stats", "--scene", f], f),
+    lambda s, f, t: (["forward", "--lidar", s / "lidar.bin", "--calib", s / "lidar.bin"],
+                     s / "lidar.bin"),
+    lambda s, f, t: (["synth", "--spec", t / "spec.json", "--out", t / "out"], t / "spec.json"),
+    lambda s, f, t: (["stvd-stats", "--scene", t / "scene"], t / "scene" / "meta.json"),
+    lambda s, f, t: (["synth", "--spec", t / "brace.json", "--out", t / "out"], t / "brace.json"),
+    lambda s, f, t: (["stvd-stats", "--scene", t / "braced"], t / "braced" / "labels.json"),
+    lambda s, f, t: (["forward", "--lidar", s / "lidar.bin", "--calib", s / "calib.txt",
+                      "--weights", t / "w.bin"], t / "w.bin.json"),
+    lambda s, f, t: (["forward", "--lidar", s / "lidar.bin", "--calib", s / "calib.txt",
+                      "--weights", t / "v.bin"], t / "v.bin.json")],
     ids=["dump-dir-is-a-file", "out-under-a-file", "lidar-under-a-file", "synth-out-is-a-file",
-         "scene-is-a-file", "calib-not-utf8", "spec-not-utf8", "meta-not-utf8"])
-def test_os_and_decode_errors_on_a_path_are_parse_errors(scene_dir, tmp_path, capsys, argv):
-    """A path that cannot be opened, made or decoded as UTF-8 exits 2 with
-    one error line, not a traceback."""
+         "scene-is-a-file", "calib-not-utf8", "spec-not-utf8", "meta-not-utf8",
+         "spec-not-json", "labels-not-json", "manifest-not-utf8", "manifest-not-json"])
+def test_os_and_decode_errors_on_a_path_are_parse_errors(scene_dir, tmp_path, capsys, case):
+    """A path that cannot be opened or made, or a text file that is not UTF-8
+    or not JSON, exits 2 with one error line that names the file, not a
+    traceback."""
     f = tmp_path / "file"
     f.write_bytes(b"x")
-    (tmp_path / "spec.json").write_bytes(b"\xff\xfe")
-    shutil.copytree(scene_dir, tmp_path / "scene")
-    (tmp_path / "scene" / "meta.json").write_bytes(b"\xff\xfe{}")
+    for name, data in (("spec.json", b"\xff\xfe"), ("brace.json", b"{"),
+                       ("w.bin.json", b"\xff\xfe"), ("v.bin.json", b"{")):
+        (tmp_path / name).write_bytes(data)
+    for copy, name, data in (("scene", "meta.json", b"\xff\xfe{}"),
+                             ("braced", "labels.json", b"{")):
+        shutil.copytree(scene_dir, tmp_path / copy)
+        (tmp_path / copy / name).write_bytes(data)
+    argv, culprit = case(scene_dir, f, tmp_path)
     capsys.readouterr()
-    assert run(argv(scene_dir, f, tmp_path)) == EXIT_PARSE
+    assert run(argv) == EXIT_PARSE
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: ")
+    assert line.startswith("error: ") and str(culprit) in line
 
 
 def test_truncated_input_is_parse_error(tmp_path, scene_dir, capsys):
@@ -445,6 +460,21 @@ def test_bench_stvd_csv(scene_dir, tmp_path):
     assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
     baseline = rows[0]
     assert float(baseline[1]) == 0.0 and float(baseline[-1]) == 1.0
+    # The hash covers every StvdConfig field but the budget; the value is the
+    # one the sweep printed when it named those fields by hand.
+    assert lines[2] == "# config_hash=d41909553c70"
+    # voxels_after, read off the timed forward's first level, is the count a
+    # separate input discard at the row's budget keeps (none at rate 0).
+    scene = load_scene(scene_dir)
+    tensor = voxelize(fuse_early(scene.lidar, scene.virtual), default_grid_spec())
+    for row, expect in zip(rows, ((0, 4678, 4678), (131, 4678, 1127))):
+        keep, before, after = (int(v) for v in row[2:5])
+        assert (keep, before, after) == expect and before == tensor.n
+        if keep:
+            cfg = replace(StvdConfig(), keep_per_nearby_bin=keep)
+            assert after == input_stvd(tensor, cfg, SeededRng(1)).n
+        else:
+            assert after == before
 
 
 def test_bench_stvd_config_hash_ignores_the_scene_path(scene_dir, tmp_path):

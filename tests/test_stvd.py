@@ -17,7 +17,7 @@ from virconv import (
     layer_stvd,
 )
 from virconv.bench import nearby_discardable_counts
-from virconv.stvd import MAX_NUM_BINS
+from virconv.stvd import MAX_NUM_BINS, discard_bins
 from virconv.tensor import ORIGIN_LIDAR, ORIGIN_MIXED, ORIGIN_VIRTUAL
 
 # A thin slab along +x: planar distance is dominated by the x index, so we
@@ -130,6 +130,65 @@ def test_nearby_discardable_counts_require_flags_in_virtual_only_mode():
     with pytest.raises(ValueError, match="origin_flags"):
         nearby_discardable_counts(t, StvdConfig())
     assert nearby_discardable_counts(t, StvdConfig(mode="all_voxels")) == [5, 0, 0]
+
+
+def per_bin_input_stvd(tensor, cfg, rng):
+    """Input discard that tests the nearby rule one bin at a time, as the
+    library once did: the oracle for its single nearby-bin mask."""
+    if tensor.n == 0:
+        return tensor
+    bins = discard_bins(tensor, cfg)
+    keep = np.ones(tensor.n, dtype=bool)
+    for b in range(cfg.num_bins):
+        if not cfg.is_nearby_bin(b):
+            continue
+        members = np.flatnonzero(bins == b)
+        if len(members) <= cfg.keep_per_nearby_bin:
+            continue
+        chosen = rng.gen.choice(members, size=cfg.keep_per_nearby_bin, replace=False)
+        keep[members] = False
+        keep[chosen] = True
+    return tensor.take_rows(np.flatnonzero(keep))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), seed=st.integers(0, 5_000), n=st.integers(1, 300),
+       mode=st.sampled_from(["virtual_only", "all_voxels"]),
+       num_bins=st.integers(1, MAX_NUM_BINS), bin_range=st.floats(1.0, 140.0),
+       keep=st.integers(1, 30))
+def test_input_discard_matches_the_per_bin_loop(data, seed, n, mode, num_bins, bin_range,
+                                                keep):
+    """Same kept rows, and the generator left in the same state: the nearby
+    bins are visited in the same order and each draws the same members."""
+    nearby_limit = data.draw(st.floats(0.0, bin_range))
+    cfg = StvdConfig(num_bins=num_bins, nearby_limit=nearby_limit, keep_per_nearby_bin=keep,
+                     bin_range=bin_range, mode=mode)
+    gen = SeededRng(seed).gen
+    flags = gen.choice([ORIGIN_LIDAR, ORIGIN_VIRTUAL, ORIGIN_MIXED], size=n)
+    # Mostly inside bin_range, so that distant bins fill past their budget too.
+    t = tensor_at_distances(gen.uniform(0.0, min(1.2 * bin_range, 149.0), n), flags=flags)
+    rng, oracle_rng = SeededRng(seed + 1), SeededRng(seed + 1)
+    out = input_stvd(t, cfg, rng)
+    expect = per_bin_input_stvd(t, cfg, oracle_rng)
+    assert np.array_equal(out.indices, expect.indices)
+    assert np.array_equal(out.origin_flags, expect.origin_flags)
+    assert rng.gen.bit_generator.state == oracle_rng.gen.bit_generator.state
+
+
+@pytest.mark.parametrize("mode", ["virtual_only", "all_voxels"])
+def test_input_discard_of_no_rows_draws_nothing(mode):
+    rng = SeededRng(1)
+    state = rng.gen.bit_generator.state
+    empty = tensor_at_distances([], flags=np.zeros(0, dtype=np.int8))
+    out = input_stvd(empty, StvdConfig(keep_per_nearby_bin=1, mode=mode), rng)
+    assert out.n == 0 and out.indices.shape == (0, 3)
+    assert rng.gen.bit_generator.state == state
+    # Zero rows take the general path, so an empty tensor without origin
+    # flags is refused in virtual_only mode just as a non-empty one is (it
+    # used to pass through unchecked).
+    if mode == "virtual_only":
+        with pytest.raises(ValueError, match="origin_flags"):
+            input_stvd(tensor_at_distances([]), StvdConfig(), rng)
 
 
 def test_input_discard_deterministic_and_order_preserving():
