@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -36,6 +37,9 @@ from .checkpoint import load_weights
 
 CSV_SCHEMA_VERSION = 1
 GRADCHECK_MAX_SIZE = 32   # gradcheck --size: a size**3 grid, 30% occupied
+# stvd-stats' flag for each StvdConfig field, whose type and default it takes.
+STVD_FLAGS = {"num_bins": "--bins", "nearby_limit": "--nearby-limit", "mode": "--mode",
+              "keep_per_nearby_bin": "--keep-per-bin", "bin_range": "--bin-range"}
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -186,29 +190,19 @@ def cmd_synth(args) -> int:
 
 
 def cmd_stvd_stats(args) -> int:
+    if not (args.scene or args.lidar) or args.scene and (args.lidar or args.virtual):
+        raise FormatError("stvd-stats reads either --scene, or --lidar with an optional --virtual")
     if args.scene:
         scene = load_scene(args.scene)
         cloud = fuse_early(scene.lidar, scene.virtual)
     else:
         cloud = _read_cloud(args.lidar, args.virtual)
-    cfg = StvdConfig(
-        num_bins=args.bins,
-        nearby_limit=args.nearby_limit,
-        keep_per_nearby_bin=args.keep_per_bin,
-        bin_range=args.bin_range,
-        mode=args.mode,
-    )
+    cfg = StvdConfig(**{name: getattr(args, name) for name in STVD_FLAGS})
     tensor = voxelize(cloud, default_grid_spec())
     after = input_stvd(tensor, cfg, SeededRng(args.seed))
     before_hist = bin_histogram(tensor, cfg)
     after_hist = bin_histogram(after, cfg)
-    chash = config_hash(
-        {
-            "bins": args.bins, "nearby_limit": args.nearby_limit,
-            "keep_per_bin": args.keep_per_bin, "bin_range": args.bin_range,
-            "mode": args.mode, "seed": args.seed,
-        }
-    )
+    chash = config_hash({**asdict(cfg), "seed": args.seed})
     lines = ["bin_index,bin_lo_m,bin_hi_m,count_before,count_after"]
     for b in range(cfg.num_bins + 1):
         lo = b * cfg.bin_width
@@ -265,12 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--scene")
     st.add_argument("--lidar")
     st.add_argument("--virtual")
-    cfg = StvdConfig()
-    st.add_argument("--bins", type=int, default=cfg.num_bins)
-    st.add_argument("--nearby-limit", type=float, default=cfg.nearby_limit)
-    st.add_argument("--keep-per-bin", type=int, default=cfg.keep_per_nearby_bin)
-    st.add_argument("--bin-range", type=float, default=cfg.bin_range)
-    st.add_argument("--mode", choices=[MODE_ALL, MODE_VIRTUAL_ONLY], default=cfg.mode)
+    for fld in fields(StvdConfig):   # the one str field has two choices
+        st.add_argument(STVD_FLAGS[fld.name], dest=fld.name, type=fld.type, default=fld.default,
+                        choices=[MODE_ALL, MODE_VIRTUAL_ONLY] if fld.type is str else None)
     st.add_argument("--seed", type=int, default=0)
     st.add_argument("--csv")
     st.set_defaults(func=cmd_stvd_stats)
@@ -286,9 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "stvd-stats" and not (args.scene or args.lidar):
-        print("stvd-stats needs --scene or --lidar", file=sys.stderr)
-        return EXIT_PARSE
     try:
         return args.func(args)
     except (OSError, FormatError) as e:

@@ -3,7 +3,7 @@
 import json
 import shutil
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -386,8 +386,32 @@ def test_scene_meta_with_unknown_spec_key_is_parse_error(scene_dir, tmp_path, ca
     assert "foo" in capsys.readouterr().err
 
 
-def test_stvd_stats_missing_inputs(capsys):
-    assert run(["stvd-stats"]) == EXIT_PARSE
+@pytest.mark.parametrize("extra", [None, "--lidar", "--virtual"],
+                         ids=["no-input", "scene-and-lidar", "scene-and-virtual"])
+def test_stvd_stats_input_rule(scene_dir, capsys, extra):
+    """stvd-stats reads exactly one of --scene and --lidar, and --virtual only
+    with --lidar: any other set of inputs is a parse error of one line, and
+    no flag is ignored."""
+    inputs = [] if extra is None else ["--scene", scene_dir, extra, scene_dir / f"{extra[2:]}.bin"]
+    assert run(["stvd-stats", *inputs]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags, cfg, chash", [
+    ([], StvdConfig(), "1fd681a2cb57"),
+    (["--mode", "all_voxels", "--bins", 7, "--keep-per-bin", 50],
+     StvdConfig(mode="all_voxels", num_bins=7, keep_per_nearby_bin=50), "49afa3a6f3d0"),
+], ids=["defaults", "all-voxels-7-bins"])
+def test_stvd_stats_config_hash_is_stvd_config_and_seed(scene_dir, tmp_path, capsys,
+                                                        flags, cfg, chash):
+    """The config_hash covers every StvdConfig field, under its own name, and
+    the seed; it does not depend on the scene."""
+    csv = tmp_path / "stats.csv"
+    assert run(["stvd-stats", "--scene", scene_dir, "--seed", 4, "--csv", csv, *flags]) == EXIT_OK
+    assert config_hash({**asdict(cfg), "seed": 4}) == chash
+    assert csv.read_text().splitlines()[2] == f"# config_hash={chash}"
     capsys.readouterr()
 
 

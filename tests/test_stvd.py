@@ -30,7 +30,6 @@ def tensor_at_distances(dists, flags=None):
     """One voxel per requested planar distance (within ~0.1 m)."""
     dists = np.asarray(dists, dtype=np.float64)
     ix = np.round(dists / 0.1 - 0.5).astype(np.int64)
-    order = np.lexsort((ix,))
     # Distinguish same-distance voxels through the y/z indices.
     idx = np.zeros((len(dists), 3), dtype=np.int64)
     idx[:, 0] = ix
@@ -40,7 +39,6 @@ def tensor_at_distances(dists, flags=None):
         seen[x] = k + 1
         idx[i, 1] = k % 16
         idx[i, 2] = k // 16
-    del order
     feats = np.ones((len(dists), 2))
     return SparseVoxelTensor(idx, feats, SLAB, origin_flags=flags)
 
